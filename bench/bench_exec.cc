@@ -1,6 +1,8 @@
 // E12 — batched morsel-parallel execution: wall-clock of the batched engine
 // vs the legacy whole-table evaluator, and a thread sweep over the batched
 // engine's morsel workers, on the Figure 3 recursion and a selective scan.
+// E14 — compiled evaluation over bound navigation, with per-layer rows for
+// navigation, charge logging and pool replay.
 // Every configuration computes the same answer with bit-identical counters
 // and measured cost (asserted here cheaply via row counts; the exhaustive
 // check is exec_differential_test) — the sweep measures pure wall time.
@@ -18,6 +20,7 @@
 #include "cost/cost_model.h"
 #include "cost/stats.h"
 #include "datagen/music_gen.h"
+#include "exec/eval_core.h"
 #include "exec/executor.h"
 #include "optimizer/baseline.h"
 #include "optimizer/optimizer.h"
@@ -194,46 +197,143 @@ void BM_BatchedScanJoinHash(benchmark::State& state) {
 BENCHMARK(BM_BatchedScanJoinHash)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// E14 — interpreted vs compiled expression evaluation. Same plans, same
-// answers, bit-identical accounting (vm_differential_fuzz_test); these rows
-// measure the wall-time side of the contract. The knob is pinned explicitly
-// on both sides so the rows stay comparable under RODIN_COMPILED_EVAL=1 CI.
-void BM_ScanFilterInterp(benchmark::State& state) {
-  ExecOptions options;
-  options.compiled_eval = false;
-  RunOnce(FilterCase(), options, state);
+// E14 — compiled expression evaluation over bound navigation, on the
+// eval-bound and navigation-bound shapes. The batched engine compiles every
+// operator expression; these rows track its wall time.
+void BM_ScanFilter(benchmark::State& state) {
+  RunOnce(FilterCase(), ExecOptions{}, state);
 }
-BENCHMARK(BM_ScanFilterInterp)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_ScanFilter)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void BM_ScanFilterCompiled(benchmark::State& state) {
-  ExecOptions options;
-  options.compiled_eval = true;
-  RunOnce(FilterCase(), options, state);
+void BM_DeepPath(benchmark::State& state) {
+  RunOnce(DeepPathCase(), ExecOptions{}, state);
 }
-BENCHMARK(BM_ScanFilterCompiled)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_DeepPath)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void BM_DeepPathInterp(benchmark::State& state) {
-  ExecOptions options;
-  options.compiled_eval = false;
-  RunOnce(DeepPathCase(), options, state);
-}
-BENCHMARK(BM_DeepPathInterp)->Unit(benchmark::kMillisecond)->UseRealTime();
+// Navigation layers of the Fig. 3 fixpoint join (ROADMAP item 1). Its
+// nested loop reads x.master once per (delta row, composer) pair, logs the
+// page charge, and the engine later replays the log into the buffer pool.
+// Each row times one layer alone over the same deterministic work — every
+// composer's `master`, once per simulated outer row — and reports the work
+// counts, so a change to one layer shows up in its own row:
+//   NavigateByName — the interpreter's step: resolve the attribute by name
+//                    per object (the legacy engine's path);
+//   NavigateBound  — the compiled step: one table load per object;
+//   ChargeLog      — recording the resulting page sequence;
+//   PoolReplay     — replaying that log into a warm buffer pool.
+struct NavLayerCase {
+  Database* db = nullptr;
+  std::vector<Value> starts;      // one Ref per composer, in scan order
+  std::vector<PageId> pages;      // the charge sequence of one pass
+  static constexpr int kOuterRows = 64;
+};
 
-void BM_DeepPathCompiled(benchmark::State& state) {
-  ExecOptions options;
-  options.compiled_eval = true;
-  RunOnce(DeepPathCase(), options, state);
-}
-BENCHMARK(BM_DeepPathCompiled)->Unit(benchmark::kMillisecond)->UseRealTime();
+/// Counts charges without recording them.
+struct CountingCharger final : PageCharger {
+  uint64_t charges = 0;
+  void Charge(PageId) override { ++charges; }
+};
 
-void BM_CompiledRecursive(benchmark::State& state) {
-  ExecOptions options;
-  options.compiled_eval = true;
-  options.exec_threads = static_cast<size_t>(state.range(0));
-  RunOnce(RecursiveCase(), options, state);
+/// Records the exact charge sequence.
+struct RecordingCharger final : PageCharger {
+  std::vector<PageId> pages;
+  void Charge(PageId page) override { pages.push_back(page); }
+};
+
+NavLayerCase& NavCase() {
+  static NavLayerCase* c = [] {
+    auto* n = new NavLayerCase;
+    n->db = RecursiveCase().db.db.get();
+    const Database::ScanSource src =
+        n->db->ResolveScan(EntityRef{"Composer", 0, 0});
+    for (uint32_t slot : *src.slots) {
+      n->starts.push_back(Value::Ref(Oid{src.base_class, slot}));
+    }
+    RecordingCharger rec;
+    uint64_t evals = 0, calls = 0, cost_fp = 0;
+    EvalContext ctx{n->db, &rec, &evals, &calls, &cost_fp, nullptr};
+    const BoundPath path = BindPath(*n->db, {"master"});
+    std::vector<Value> out;
+    for (const Value& v : n->starts) NavigateBound(&ctx, v, path, 0, &out);
+    n->pages = std::move(rec.pages);
+    return n;
+  }();
+  return *c;
 }
-BENCHMARK(BM_CompiledRecursive)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+template <bool kBound>
+void NavigateLayer(benchmark::State& state) {
+  NavLayerCase& c = NavCase();
+  CountingCharger charger;
+  uint64_t evals = 0, calls = 0, cost_fp = 0;
+  EvalContext ctx{c.db, &charger, &evals, &calls, &cost_fp, nullptr};
+  const std::vector<std::string> names = {"master"};
+  const BoundPath path = BindPath(*c.db, names);
+  std::vector<Value> out;
+  uint64_t steps = 0;
+  for (auto _ : state) {
+    for (int outer = 0; outer < NavLayerCase::kOuterRows; ++outer) {
+      for (const Value& v : c.starts) {
+        out.clear();
+        if constexpr (kBound) {
+          NavigateBound(&ctx, v, path, 0, &out);
+        } else {
+          Navigate(&ctx, v, names, 0, &out);
+        }
+        benchmark::DoNotOptimize(out.data());
+        ++steps;
+      }
+    }
+  }
+  state.counters["steps"] = static_cast<double>(steps) / state.iterations();
+  state.counters["charges"] =
+      static_cast<double>(charger.charges) / state.iterations();
+  state.counters["steps/sec"] = benchmark::Counter(
+      static_cast<double>(steps), benchmark::Counter::kIsRate);
+}
+
+void BM_LayerNavigateByName(benchmark::State& state) {
+  NavigateLayer<false>(state);
+}
+BENCHMARK(BM_LayerNavigateByName)->Unit(benchmark::kMicrosecond);
+
+void BM_LayerNavigateBound(benchmark::State& state) {
+  NavigateLayer<true>(state);
+}
+BENCHMARK(BM_LayerNavigateBound)->Unit(benchmark::kMicrosecond);
+
+void BM_LayerChargeLog(benchmark::State& state) {
+  NavLayerCase& c = NavCase();
+  size_t charges = 0;
+  for (auto _ : state) {
+    ChargeLog log;
+    for (int outer = 0; outer < NavLayerCase::kOuterRows; ++outer) {
+      for (PageId p : c.pages) log.Charge(p);
+    }
+    charges = log.size();
+    benchmark::DoNotOptimize(charges);
+  }
+  state.counters["charges"] = static_cast<double>(charges);
+}
+BENCHMARK(BM_LayerChargeLog)->Unit(benchmark::kMicrosecond);
+
+void BM_LayerPoolReplay(benchmark::State& state) {
+  NavLayerCase& c = NavCase();
+  ChargeLog log;
+  for (int outer = 0; outer < NavLayerCase::kOuterRows; ++outer) {
+    for (PageId p : c.pages) log.Charge(p);
+  }
+  BufferPool pool(256);
+  log.ReplayInto(&pool);  // warm: the pass's pages are resident
+  for (auto _ : state) {
+    pool.ResetStats();
+    log.ReplayInto(&pool);
+  }
+  state.counters["fetches"] = static_cast<double>(pool.stats().fetches);
+  state.counters["hits"] = static_cast<double>(pool.stats().hits);
+  state.counters["misses"] = static_cast<double>(pool.stats().misses);
+}
+BENCHMARK(BM_LayerPoolReplay)->Unit(benchmark::kMicrosecond);
 
 void BM_BatchRowsSweep(benchmark::State& state) {
   ExecOptions options;

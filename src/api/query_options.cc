@@ -40,7 +40,6 @@ ExecOptions QueryOptions::MakeExecOptions(const QueryContext* armed) const {
   ExecOptions exec;
   if (batch_rows.has_value()) exec.batch_rows = *batch_rows;
   if (exec_threads.has_value()) exec.exec_threads = *exec_threads;
-  if (compiled_eval.has_value()) exec.compiled_eval = *compiled_eval;
   exec.hash_equijoin = hash_equijoin;
   exec.use_legacy = legacy_exec;
   exec.query = armed;

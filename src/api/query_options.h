@@ -60,8 +60,7 @@ struct FeedbackOptions {
 ///
 /// Precedence for the optionals: engaged QueryOptions value > session
 /// OptimizerOptions value (search_threads, seed) or executor/environment
-/// default (exec_threads, batch_rows, compiled_eval). There is no third
-/// copy anywhere.
+/// default (exec_threads, batch_rows). There is no third copy anywhere.
 struct QueryOptions {
   /// Start measurement from an empty buffer pool (cold run). Warm otherwise:
   /// counters reset but resident pages stay.
@@ -91,13 +90,6 @@ struct QueryOptions {
   /// Rows per executor batch (nullopt = executor default, 1024; engaged 0 =
   /// kInvalidArgument). Also identical accounting for any value.
   std::optional<size_t> batch_rows;
-  /// Override the executor's compiled-eval default for this run (nullopt =
-  /// ExecOptions default, i.e. the RODIN_COMPILED_EVAL switch). Compiled
-  /// and interpreted eval produce the same rows and bit-identical
-  /// ExecCounters / OpStats / MeasuredCost; the knob is deliberately NOT
-  /// part of the plan-cache fingerprint, so flipping it between runs still
-  /// hits the cache. Ignored by legacy_exec, which always interprets.
-  std::optional<bool> compiled_eval;
   /// Build a hash table over the inner of an equi nested-loop join. Same
   /// rows and order, but honestly different predicate/page accounting —
   /// opt-in and excluded from the accounting-identity guarantee (see
@@ -111,9 +103,9 @@ struct QueryOptions {
   bool bypass_plan_cache = false;
   /// Adaptive cost feedback: measured-cardinality corrections at optimize
   /// time, harvesting after execution, drift-triggered re-optimization of
-  /// cached plans (see the block's own documentation above). Like
-  /// compiled_eval, none of this enters the plan-cache fingerprint —
-  /// flipping feedback between runs still hits the cache.
+  /// cached plans (see the block's own documentation above). None of this
+  /// enters the plan-cache fingerprint — flipping feedback between runs
+  /// still hits the cache.
   FeedbackOptions feedback;
 
   /// Rejects engaged-zero thread/batch knobs (kInvalidArgument) per the

@@ -5,13 +5,6 @@
 
 namespace rodin {
 
-std::vector<Attribute> ClassDef::AllAttributes() const {
-  std::vector<Attribute> out;
-  if (super_ != nullptr) out = super_->AllAttributes();
-  out.insert(out.end(), own_attrs_.begin(), own_attrs_.end());
-  return out;
-}
-
 const Attribute* ClassDef::FindAttribute(const std::string& name) const {
   for (const Attribute& a : own_attrs_) {
     if (a.name == name) return &a;
@@ -21,9 +14,8 @@ const Attribute* ClassDef::FindAttribute(const std::string& name) const {
 }
 
 int ClassDef::AttributeIndex(const std::string& name) const {
-  const std::vector<Attribute> all = AllAttributes();
-  for (size_t i = 0; i < all.size(); ++i) {
-    if (all[i].name == name) return static_cast<int>(i);
+  for (size_t i = 0; i < all_attrs_.size(); ++i) {
+    if (all_attrs_[i].name == name) return static_cast<int>(i);
   }
   return -1;
 }
@@ -54,6 +46,7 @@ ClassDef* Schema::AddClass(const std::string& name,
   const uint32_t id = static_cast<uint32_t>(classes_.size());
   classes_.push_back(
       std::unique_ptr<ClassDef>(new ClassDef(name, id, super)));
+  if (super != nullptr) classes_.back()->all_attrs_ = super->all_attrs_;
   return classes_.back().get();
 }
 
@@ -63,6 +56,16 @@ void Schema::AddAttribute(ClassDef* cls, Attribute attr) {
   RODIN_CHECK(cls->FindAttribute(attr.name) == nullptr,
               "attribute name collides with own or inherited attribute");
   cls->own_attrs_.push_back(std::move(attr));
+  // Refresh the flattened lists of `cls` and its subclasses. Superclasses
+  // are declared before their subclasses, so one pass in declaration order
+  // sees every super's list already refreshed.
+  for (const auto& c : classes_) {
+    if (!IsSubclassOf(c.get(), cls)) continue;
+    c->all_attrs_ =
+        c->super_ == nullptr ? std::vector<Attribute>{} : c->super_->all_attrs_;
+    c->all_attrs_.insert(c->all_attrs_.end(), c->own_attrs_.begin(),
+                         c->own_attrs_.end());
+  }
 }
 
 RelationDef* Schema::AddRelation(const std::string& name,

@@ -36,7 +36,9 @@ class ClassDef {
   const std::vector<Attribute>& own_attributes() const { return own_attrs_; }
 
   /// Attributes including inherited ones, superclass attributes first.
-  std::vector<Attribute> AllAttributes() const;
+  /// Kept up to date by Schema::AddAttribute, so reading it allocates
+  /// nothing.
+  const std::vector<Attribute>& AllAttributes() const { return all_attrs_; }
 
   /// Finds an attribute by name, searching up the inheritance chain.
   const Attribute* FindAttribute(const std::string& name) const;
@@ -54,6 +56,7 @@ class ClassDef {
   uint32_t id_;
   const ClassDef* super_;
   std::vector<Attribute> own_attrs_;
+  std::vector<Attribute> all_attrs_;  // super's all_attrs_ + own_attrs_
 };
 
 /// A relation of the conceptual schema: a named set of tuples.
@@ -65,7 +68,7 @@ class RelationDef {
 
   const Attribute* FindAttribute(const std::string& name) const;
   int AttributeIndex(const std::string& name) const;
-  std::vector<Attribute> AllAttributes() const { return attrs_; }
+  const std::vector<Attribute>& AllAttributes() const { return attrs_; }
 
  private:
   friend class Schema;

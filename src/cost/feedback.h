@@ -169,7 +169,7 @@ class FeedbackRegistry {
 
 /// RODIN_FEEDBACK environment knob: the process-wide default for
 /// QueryOptions::feedback.enabled — set to anything but "0" to enable (read
-/// once, like the plan-cache / compiled-eval / fault switches; unset = off).
+/// once, like the plan-cache / fault switches; unset = off).
 bool FeedbackEnvDefault();
 
 }  // namespace rodin

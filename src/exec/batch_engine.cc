@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -54,16 +53,15 @@ struct ExecCtx {
   size_t batch_rows = 1024;
   size_t threads = 1;
   bool hash_equijoin = false;
-  bool compiled_eval = false;
   bool collect_op_stats = false;
   ThreadPool* pool = nullptr;
   std::map<std::string, FixCacheEntry>* fix_cache = nullptr;
 
   MorselCounters counters;
   uint64_t fix_iterations = 0;
-  /// Compiled-eval profile (coordinator only): chunks / instructions
-  /// compiled while building operators, rows evaluated by the VM (merged
-  /// from morsel scratches). Observability only — deliberately outside the
+  /// Bytecode profile (coordinator only): chunks / instructions compiled
+  /// while building operators, rows evaluated by the VM (merged from morsel
+  /// scratches). Observability only — deliberately outside the
   /// accounting-identity contract.
   uint64_t vm_chunks = 0;
   uint64_t vm_instrs = 0;
@@ -341,64 +339,30 @@ class DedupBuffer {
   std::vector<std::shared_ptr<SpillFile>> runs_;
 };
 
-/// Compiles an operator expression to bytecode when compiled eval is on,
-/// folding the chunk into the engine's vm profile. nullopt (knob off, null
-/// expression, or a shape the compiler declines) = evaluate interpreted;
-/// the interpreter remains the semantic oracle either way.
-std::optional<vm::BytecodeChunk> CompilePredChunk(ExecCtx* ctx,
-                                                  const ExprPtr& pred,
-                                                  const RowSchema& schema) {
-  if (!ctx->compiled_eval || pred == nullptr) return std::nullopt;
-  std::optional<vm::BytecodeChunk> chunk = vm::CompilePredicate(pred, schema);
-  if (chunk.has_value()) {
-    ++ctx->vm_chunks;
-    ctx->vm_instrs += chunk->code.size();
-  }
+/// Counts a freshly compiled chunk into the engine's vm profile.
+vm::BytecodeChunk Profiled(ExecCtx* ctx, vm::BytecodeChunk chunk) {
+  ++ctx->vm_chunks;
+  ctx->vm_instrs += chunk.code.size();
   return chunk;
 }
 
-std::optional<vm::BytecodeChunk> CompileMultiChunk(ExecCtx* ctx,
-                                                   const ExprPtr& expr,
-                                                   const RowSchema& schema) {
-  if (!ctx->compiled_eval || expr == nullptr) return std::nullopt;
-  std::optional<vm::BytecodeChunk> chunk = vm::CompileMulti(expr, schema);
-  if (chunk.has_value()) {
-    ++ctx->vm_chunks;
-    ctx->vm_instrs += chunk->code.size();
-  }
-  return chunk;
+/// Compiles an operator's predicate (null = always true), multi-value
+/// expression or projection list to bytecode bound to the engine's
+/// database. Every operator expression runs compiled.
+vm::BytecodeChunk CompilePredChunk(ExecCtx* ctx, const ExprPtr& pred,
+                                   const RowSchema& schema) {
+  return Profiled(ctx, vm::CompilePredicate(pred, schema, *ctx->db));
 }
 
-std::optional<vm::BytecodeChunk> CompileProjChunk(
-    ExecCtx* ctx, const std::vector<OutCol>& proj, const RowSchema& schema) {
-  if (!ctx->compiled_eval) return std::nullopt;
-  std::optional<vm::BytecodeChunk> chunk =
-      vm::CompileProjection(proj, schema);
-  if (chunk.has_value()) {
-    ++ctx->vm_chunks;
-    ctx->vm_instrs += chunk->code.size();
-  }
-  return chunk;
+vm::BytecodeChunk CompileMultiChunk(ExecCtx* ctx, const ExprPtr& expr,
+                                    const RowSchema& schema) {
+  return Profiled(ctx, vm::CompileMulti(expr, schema, *ctx->db));
 }
 
-/// One predicate evaluation, compiled when a chunk exists. The caller has
-/// already counted the predicate_evals tick.
-inline bool EvalPredMaybe(const std::optional<vm::BytecodeChunk>& chunk,
-                          EvalContext* ec, const RowSchema& schema,
-                          const Row& row, const ExprPtr& pred) {
-  if (chunk.has_value()) return vm::RunPred(*chunk, ec, row, ec->vm);
-  return EvalPred(ec, schema, row, pred);
-}
-
-/// One multi-value evaluation, compiled when a chunk exists. Returns an
-/// owned vector either way: downstream callers mutate or outlive the VM's
-/// register state (the interpreter allocates an owned vector too, so the
-/// copy does not cost compiled eval anything extra).
-inline std::vector<Value> EvalMultiMaybe(
-    const std::optional<vm::BytecodeChunk>& chunk, EvalContext* ec,
-    const RowSchema& schema, const Row& row, const ExprPtr& expr) {
-  if (chunk.has_value()) return vm::RunMulti(*chunk, ec, row, ec->vm);
-  return EvalMulti(ec, schema, row, expr);
+vm::BytecodeChunk CompileProjChunk(ExecCtx* ctx,
+                                   const std::vector<OutCol>& proj,
+                                   const RowSchema& schema) {
+  return Profiled(ctx, vm::CompileProjection(proj, schema, *ctx->db));
 }
 
 /// Base batched operator: pull-based Open-on-first-Next / NextBatch / (no
@@ -605,7 +569,7 @@ class FilterScanOp : public Op {
           ec->charger->Charge(src_.extent->PageOf(slot, src_.vfrag));
           Row row{Value::Ref(Oid{src_.base_class, slot})};
           ++*ec->predicate_evals;
-          if (EvalPredMaybe(pred_chunk_, ec, schema_, row, node_->pred)) {
+          if (vm::RunPred(pred_chunk_, ec, row, ec->vm)) {
             rows->push_back(std::move(row));
           }
         },
@@ -618,7 +582,7 @@ class FilterScanOp : public Op {
  private:
   Database::ScanSource src_;
   size_t pos_ = 0;
-  std::optional<vm::BytecodeChunk> pred_chunk_;
+  vm::BytecodeChunk pred_chunk_;
 };
 
 /// Index-backed selection. The B-tree probe runs once on the coordinator
@@ -670,10 +634,10 @@ class IndexSelOp : public Op {
         n,
         [this, base](size_t i, EvalContext* ec, std::vector<Row>* rows) {
           const Oid oid = ctx_->db->PayloadToOid(extent_, payloads_[base + i]);
-          ctx_->db->ChargeRecordAccess(oid, {}, ec->charger);
+          ctx_->db->ChargeRecordAccess(oid, ec->charger);
           Row row{Value::Ref(oid)};
           ++*ec->predicate_evals;
-          if (EvalPredMaybe(pred_chunk_, ec, schema_, row, node_->pred)) {
+          if (vm::RunPred(pred_chunk_, ec, row, ec->vm)) {
             rows->push_back(std::move(row));
           }
         },
@@ -688,7 +652,7 @@ class IndexSelOp : public Op {
   bool looked_ = false;
   std::vector<uint64_t> payloads_;
   size_t pos_ = 0;
-  std::optional<vm::BytecodeChunk> pred_chunk_;
+  vm::BytecodeChunk pred_chunk_;
 };
 
 /// General selection over a non-entity child: streams batches through the
@@ -706,14 +670,11 @@ class FilterOp : public Op {
     if (ServePending(out)) return true;
     RowBatch in;
     if (!children_[0]->Pull(&in)) return false;
-    const RowSchema& in_schema = children_[0]->schema();
     ctx_->ParallelItems(
         in.size(),
-        [this, &in, &in_schema](size_t i, EvalContext* ec,
-                                std::vector<Row>* rows) {
+        [this, &in](size_t i, EvalContext* ec, std::vector<Row>* rows) {
           ++*ec->predicate_evals;
-          if (EvalPredMaybe(pred_chunk_, ec, in_schema, in.rows[i],
-                            node_->pred)) {
+          if (vm::RunPred(pred_chunk_, ec, in.rows[i], ec->vm)) {
             rows->push_back(std::move(in.rows[i]));
           }
         },
@@ -723,7 +684,7 @@ class FilterOp : public Op {
   }
 
  private:
-  std::optional<vm::BytecodeChunk> pred_chunk_;
+  vm::BytecodeChunk pred_chunk_;
 };
 
 // --- Projection ------------------------------------------------------------
@@ -749,55 +710,33 @@ class ProjOp : public Op {
 
  private:
   void ProjectBatch(const RowBatch& in) {
-    const RowSchema& in_schema = children_[0]->schema();
     ctx_->ParallelItems(
         in.size(),
-        [this, &in, &in_schema](size_t i, EvalContext* ec,
-                                std::vector<Row>* rows) {
-          const Row& row = in.rows[i];
-          // Cartesian product of the (possibly multi-valued) projections.
-          // Compiled eval leaves column k's values in VM register k (one
-          // chunk per projection list, registers reused across rows);
-          // interpreted eval materializes them into fresh vectors. Both
-          // feed the same odometer over column views.
-          std::vector<const std::vector<Value>*> cols;
-          std::vector<std::vector<Value>> storage;
-          bool any_empty = false;
-          if (proj_chunk_.has_value()) {
-            const size_t n = vm::RunProj(*proj_chunk_, ec, row, ec->vm);
-            cols.reserve(n);
-            for (size_t k = 0; k < n; ++k) {
-              cols.push_back(&ec->vm->vregs[k]);
-              if (cols.back()->empty()) any_empty = true;
-            }
-          } else {
-            storage.reserve(node_->proj.size());
-            cols.reserve(node_->proj.size());
-            for (const OutCol& c : node_->proj) {
-              storage.push_back(EvalMulti(ec, in_schema, row, c.expr));
-              if (storage.back().empty()) any_empty = true;
-            }
-            for (const auto& s : storage) cols.push_back(&s);
+        [this, &in](size_t i, EvalContext* ec, std::vector<Row>* rows) {
+          // Cartesian product of the (possibly multi-valued) projections:
+          // the chunk leaves column k's values in VM register k (registers
+          // reused across rows), and an odometer walks their product.
+          const size_t n = vm::RunProj(proj_chunk_, ec, in.rows[i], ec->vm);
+          const std::vector<std::vector<Value>>& cols = ec->vm->vregs;
+          for (size_t k = 0; k < n; ++k) {
+            if (cols[k].empty()) return;
           }
-          if (any_empty) return;
-          std::vector<size_t> idx(cols.size(), 0);
+          std::vector<size_t> idx(n, 0);
           bool done = false;
           while (!done) {
             Row r;
-            r.reserve(cols.size());
-            for (size_t k = 0; k < cols.size(); ++k) {
-              r.push_back((*cols[k])[idx[k]]);
-            }
+            r.reserve(n);
+            for (size_t k = 0; k < n; ++k) r.push_back(cols[k][idx[k]]);
             rows->push_back(std::move(r));
             // Odometer increment, rightmost column fastest.
-            size_t k = cols.size();
+            size_t k = n;
             while (true) {
               if (k == 0) {
                 done = true;
                 break;
               }
               --k;
-              if (++idx[k] < cols[k]->size()) break;
+              if (++idx[k] < cols[k].size()) break;
               idx[k] = 0;
             }
           }
@@ -832,7 +771,7 @@ class ProjOp : public Op {
   bool materialized_ = false;
   Table dedup_;
   size_t pos_ = 0;
-  std::optional<vm::BytecodeChunk> proj_chunk_;
+  vm::BytecodeChunk proj_chunk_;
 };
 
 // --- Joins -----------------------------------------------------------------
@@ -843,10 +782,14 @@ class IJOp : public Op {
   IJOp(ExecCtx* ctx, const PTNode* node) : Op(ctx, node) {
     schema_.cols = node->cols;
     children_.push_back(BuildOp(ctx, node->children[0].get()));
+    std::vector<std::string> rest;
     RODIN_CHECK(children_[0]->schema().ResolveVarPath(node->src_var,
                                                       {node->attr}, &col_,
-                                                      &rest_),
+                                                      &rest),
                 "IJ source unresolvable at runtime");
+    // A dotted column already holds the reference; otherwise the source
+    // object's attribute is read through a bound step.
+    if (!rest.empty()) step_ = BindPath(*ctx->db, std::move(rest));
   }
 
  protected:
@@ -858,16 +801,12 @@ class IJOp : public Op {
         in.size(),
         [this, &in](size_t i, EvalContext* ec, std::vector<Row>* rows) {
           const Row& row = in.rows[i];
-          std::vector<Value> targets;
-          if (rest_.empty()) {
-            // Dotted column: the reference is already materialized in the row.
-            ExpandValue(row[col_], &targets);
-          } else {
-            Navigate(ec, row[col_], {node_->attr}, 0, &targets);
-          }
+          std::vector<Value>& targets = ec->vm->tmp;
+          targets.clear();
+          NavigateBound(ec, row[col_], step_, 0, &targets);
           for (const Value& t : targets) {
             if (!t.is_ref()) continue;
-            ctx_->db->ChargeRecordAccess(t.AsRef(), {}, ec->charger);
+            ctx_->db->ChargeRecordAccess(t.AsRef(), ec->charger);
             Row r = row;
             r.push_back(t);
             rows->push_back(std::move(r));
@@ -880,7 +819,7 @@ class IJOp : public Op {
 
  private:
   int col_ = -1;
-  std::vector<std::string> rest_;
+  BoundPath step_;  // empty for a dotted column: NavigateBound just expands
 };
 
 /// Implicit join through a path index.
@@ -946,27 +885,24 @@ class IndexJoinOp : public Op {
     if (ServePending(out)) return true;
     RowBatch in;
     if (!children_[0]->Pull(&in)) return false;
-    const RowSchema& left_schema = children_[0]->schema();
     ctx_->ParallelItems(
         in.size(),
-        [this, &in, &left_schema](size_t i, EvalContext* ec,
-                                  std::vector<Row>* rows) {
+        [this, &in](size_t i, EvalContext* ec, std::vector<Row>* rows) {
           const Row& lrow = in.rows[i];
           // Owned copy: the residual chunk below reuses the same morsel
           // registers, so the probe keys must not alias them.
           const std::vector<Value> keys =
-              EvalMultiMaybe(probe_chunk_, ec, left_schema, lrow, probe_);
+              vm::RunMulti(probe_chunk_, ec, lrow, ec->vm);
           for (const Value& key : keys) {
             const std::vector<uint64_t> payloads =
                 node_->join_index->Lookup(key, ec->charger);
             for (uint64_t p : payloads) {
               const Oid oid = ctx_->db->PayloadToOid(extent_, p);
-              ctx_->db->ChargeRecordAccess(oid, {}, ec->charger);
+              ctx_->db->ChargeRecordAccess(oid, ec->charger);
               Row row = lrow;
               row.push_back(Value::Ref(oid));
               ++*ec->predicate_evals;
-              if (EvalPredMaybe(residual_chunk_, ec, schema_, row,
-                                residual_)) {
+              if (vm::RunPred(residual_chunk_, ec, row, ec->vm)) {
                 rows->push_back(std::move(row));
               }
             }
@@ -981,8 +917,8 @@ class IndexJoinOp : public Op {
   ExprPtr probe_;
   ExprPtr residual_;
   std::string extent_;
-  std::optional<vm::BytecodeChunk> probe_chunk_;
-  std::optional<vm::BytecodeChunk> residual_chunk_;
+  vm::BytecodeChunk probe_chunk_;
+  vm::BytecodeChunk residual_chunk_;
 };
 
 /// Nested-loop explicit join. A barrier: both sides materialize before
@@ -1094,13 +1030,11 @@ class NLJoinOp : public Op {
     // Build: evaluate the inner key expression per inner row. Key rows are
     // {key, row_index} pairs funneled through the morsel row sink.
     std::vector<Row> keyed;
-    const RowSchema& rschema = right_.schema;
     ctx_->ParallelItems(
         right_.rows.size(),
-        [this, &rschema](size_t i, EvalContext* ec, std::vector<Row>* rows) {
+        [this](size_t i, EvalContext* ec, std::vector<Row>* rows) {
           std::vector<Value> keys =
-              EvalMultiMaybe(build_chunk_, ec, rschema, right_.rows[i],
-                             build_);
+              vm::RunMulti(build_chunk_, ec, right_.rows[i], ec->vm);
           std::sort(keys.begin(), keys.end(),
                     [](const Value& a, const Value& b) {
                       return a.Compare(b) < 0;
@@ -1123,18 +1057,24 @@ class NLJoinOp : public Op {
     hash_built_ = true;
   }
 
+  /// Overwrites the inner part of the joined row `*row` (outer columns
+  /// [0, nl) stay) with `rrow`. The row is reused across a whole outer
+  /// row's probes, so only matches are copied out.
+  static void JoinInto(size_t nl, const Row& rrow, Row* row) {
+    row->resize(nl);
+    row->insert(row->end(), rrow.begin(), rrow.end());
+  }
+
   void ProbeChunk() {
     const size_t n = std::min(ctx_->Quantum(), left_.rows.size() - pos_);
     const size_t base = pos_;
     if (hash_built_) {
-      const RowSchema& ls = children_[0]->schema();
       ctx_->ParallelItems(
           n,
-          [this, base, &ls](size_t i, EvalContext* ec,
-                            std::vector<Row>* rows) {
+          [this, base](size_t i, EvalContext* ec, std::vector<Row>* rows) {
             const Row& lrow = left_.rows[base + i];
             const std::vector<Value> keys =
-                EvalMultiMaybe(probe_chunk_, ec, ls, lrow, probe_);
+                vm::RunMulti(probe_chunk_, ec, lrow, ec->vm);
             std::vector<size_t> cand;
             for (const Value& k : keys) {
               auto it = hash_.find(k);
@@ -1143,6 +1083,7 @@ class NLJoinOp : public Op {
             }
             std::sort(cand.begin(), cand.end());
             cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
+            Row row = lrow;
             for (size_t ri : cand) {
               Row spill_row;
               if (right_spill_ != nullptr) {
@@ -1150,12 +1091,10 @@ class NLJoinOp : public Op {
               }
               const Row& rrow =
                   right_spill_ != nullptr ? spill_row : right_.rows[ri];
-              Row row = lrow;
-              row.insert(row.end(), rrow.begin(), rrow.end());
+              JoinInto(lrow.size(), rrow, &row);
               ++*ec->predicate_evals;
-              if (EvalPredMaybe(pred_chunk_, ec, schema_, row,
-                                node_->pred)) {
-                rows->push_back(std::move(row));
+              if (vm::RunPred(pred_chunk_, ec, row, ec->vm)) {
+                rows->push_back(row);
               }
             }
           },
@@ -1183,6 +1122,7 @@ class NLJoinOp : public Op {
               // of the delta temp are charged here.
               if (has_delta_temp_) ChargeTempScan(delta_temp_, ec->charger);
             }
+            Row row = lrow;
             for (size_t ri = 0; ri < rcount; ++ri) {
               Row spill_row;
               if (right_spill_ != nullptr) {
@@ -1190,12 +1130,10 @@ class NLJoinOp : public Op {
               }
               const Row& rrow =
                   right_spill_ != nullptr ? spill_row : right_.rows[ri];
-              Row row = lrow;
-              row.insert(row.end(), rrow.begin(), rrow.end());
+              JoinInto(lrow.size(), rrow, &row);
               ++*ec->predicate_evals;
-              if (EvalPredMaybe(pred_chunk_, ec, schema_, row,
-                                node_->pred)) {
-                rows->push_back(std::move(row));
+              if (vm::RunPred(pred_chunk_, ec, row, ec->vm)) {
+                rows->push_back(row);
               }
             }
           },
@@ -1218,9 +1156,9 @@ class NLJoinOp : public Op {
   ExprPtr build_;
   std::map<Value, std::vector<size_t>, ValueLess> hash_;
   bool hash_built_ = false;
-  std::optional<vm::BytecodeChunk> pred_chunk_;
-  std::optional<vm::BytecodeChunk> probe_chunk_;
-  std::optional<vm::BytecodeChunk> build_chunk_;
+  vm::BytecodeChunk pred_chunk_;
+  vm::BytecodeChunk probe_chunk_;
+  vm::BytecodeChunk build_chunk_;
 };
 
 // --- Union -----------------------------------------------------------------
@@ -1494,7 +1432,6 @@ BatchEngine::BatchEngine(const Config& config, const PTNode& plan)
   ctx.batch_rows = std::max<size_t>(1, config.batch_rows);
   ctx.threads = std::max<size_t>(1, config.exec_threads);
   ctx.hash_equijoin = config.hash_equijoin;
-  ctx.compiled_eval = config.compiled_eval;
   ctx.collect_op_stats = config.collect_op_stats;
   ctx.pool = config.pool;
   ctx.fix_cache = config.fix_cache;
@@ -1601,7 +1538,7 @@ void BatchEngine::Finalize() {
   if (impl_->cfg.spill_stats != nullptr) {
     impl_->cfg.spill_stats->Add(ctx.spill);
   }
-  if (ctx.compiled_eval) {
+  {
     static obs::Counter* chunks =
         obs::MetricsRegistry::Global().GetCounter("rodin.vm.chunks_compiled");
     static obs::Counter* instrs =

@@ -18,7 +18,9 @@ class ThreadPool;
 /// ResultCursor. One engine instance evaluates one processing tree as a pull
 /// pipeline of Open/NextBatch-style operators over ~ExecOptions::batch_rows
 /// row batches; leaf scans, filters, joins and index probes fan their
-/// per-row work across a shared worker pool in contiguous morsels.
+/// per-row work across a shared worker pool in contiguous morsels. Every
+/// operator expression is compiled to bytecode when the operator is built
+/// (src/exec/vm/), with its navigation paths bound to field slots.
 ///
 /// Accounting is deterministic by construction: workers never touch the
 /// buffer pool — every operator pass records its page charges into its own
@@ -36,12 +38,6 @@ class BatchEngine {
     size_t batch_rows = 1024;
     size_t exec_threads = 1;
     bool hash_equijoin = false;
-    /// Compile operator predicates / projections / path programs to
-    /// register bytecode at operator-build time and run the chunks per row
-    /// (see src/exec/vm/). Accounting — ExecCounters, OpStats, pool
-    /// counters, MeasuredCost — is bit-identical to interpreted eval for
-    /// every batch size and thread count; only wall time changes.
-    bool compiled_eval = false;
     ThreadPool* pool = nullptr;  // shared worker pool; null = inline
     std::map<std::string, FixCacheEntry>* fix_cache = nullptr;
     bool collect_op_stats = false;
@@ -97,7 +93,7 @@ class BatchEngine {
 
   /// Bytecode chunks compiled while building this engine's operator tree
   /// (Fix arms recompile per iteration) and their summed instruction
-  /// counts. Zero under interpreted eval; feeds the execute span's args.
+  /// counts; feeds the execute span's args.
   uint64_t vm_chunks() const;
   uint64_t vm_instrs() const;
 

@@ -195,14 +195,6 @@ void Executor::ReleaseTempPages(uint64_t pages) {
   live_temp_pages_ -= std::min<uint64_t>(live_temp_pages_, pages);
 }
 
-bool CompiledEvalEnvDefault() {
-  static const bool on = [] {
-    const char* v = std::getenv("RODIN_COMPILED_EVAL");
-    return v != nullptr && v[0] != '\0' && std::string(v) != "0";
-  }();
-  return on;
-}
-
 bool SpillEnvDefault() {
   static const bool on = [] {
     const char* v = std::getenv("RODIN_SPILL");
@@ -308,7 +300,7 @@ Table Executor::EvalSel(const PTNode& node) {
     }
     for (uint64_t p : payloads) {
       const Oid oid = db_->PayloadToOid(child.entity.extent, p);
-      db_->ChargeRecordAccess(oid, {});
+      db_->ChargeRecordAccess(oid);
       Row row = {Value::Ref(oid)};
       ++counters_.predicate_evals;
       if (EvalPred(&ec, out.schema, row, node.pred)) {
@@ -404,7 +396,7 @@ Table Executor::EvalEJ(const PTNode& node) {
             node.join_index->Lookup(key, &db_->buffer_pool());
         for (uint64_t p : payloads) {
           const Oid oid = db_->PayloadToOid(right_node.entity.extent, p);
-          db_->ChargeRecordAccess(oid, {});
+          db_->ChargeRecordAccess(oid);
           Row row = lrow;
           row.push_back(Value::Ref(oid));
           ++counters_.predicate_evals;
@@ -483,7 +475,7 @@ Table Executor::EvalIJ(const PTNode& node) {
     }
     for (const Value& t : targets) {
       if (!t.is_ref()) continue;
-      db_->ChargeRecordAccess(t.AsRef(), {});
+      db_->ChargeRecordAccess(t.AsRef());
       Row r = row;
       r.push_back(t);
       out.rows.push_back(std::move(r));
@@ -698,7 +690,6 @@ Status Executor::ExecuteInto(const PTNode& plan, const ExecOptions& options,
     cfg.batch_rows = options.batch_rows;
     cfg.exec_threads = options.exec_threads;
     cfg.hash_equijoin = options.hash_equijoin;
-    cfg.compiled_eval = options.compiled_eval;
     cfg.pool = PoolFor(options.exec_threads);
     cfg.fix_cache = &fix_cache_;
     cfg.collect_op_stats = collect_op_stats_;
@@ -719,7 +710,7 @@ Status Executor::ExecuteInto(const PTNode& plan, const ExecOptions& options,
     engine.Finalize();
     status = engine.status();
     if (!status.ok()) out->rows.clear();
-    if (tracer_ != nullptr && options.compiled_eval) {
+    if (tracer_ != nullptr) {
       tracer_->AddArg(span, "vm_chunks",
                       StrFormat("%llu", static_cast<unsigned long long>(
                                             engine.vm_chunks())));

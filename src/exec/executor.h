@@ -47,11 +47,6 @@ struct OpStats {
   double micros = 0;    // coordinator wall time spent in the operator
 };
 
-/// Process-wide default for ExecOptions::compiled_eval: true when the
-/// RODIN_COMPILED_EVAL environment variable is set to anything but "0"
-/// (read once, like the plan-cache and fault-injection switches).
-bool CompiledEvalEnvDefault();
-
 /// Process-wide default for QueryContext::spill: on unless the RODIN_SPILL
 /// environment variable is "0" or "off" (read once).
 bool SpillEnvDefault();
@@ -151,14 +146,6 @@ uint64_t TempRowPages(size_t ncols);
 struct ExecOptions {
   size_t batch_rows = 1024;   // rows per operator batch (min 1)
   size_t exec_threads = 1;    // worker threads for morsel-parallel operators
-  /// Compile operator predicates, projections and path-step programs into
-  /// register bytecode at plan time and run the chunks per row (see
-  /// src/exec/vm/). Same rows, same ExecCounters / OpStats / MeasuredCost
-  /// bit for bit, for every batch_rows x exec_threads combination — the
-  /// interpreter remains the differential oracle. Defaults to the
-  /// RODIN_COMPILED_EVAL environment switch; ignored by the legacy engine,
-  /// which always interprets.
-  bool compiled_eval = CompiledEvalEnvDefault();
   /// Build a hash table over the inner of an equi nested-loop join instead
   /// of scanning it per outer row. Produces the identical result set and
   /// order, but honestly changes predicate_evals and page accounting (fewer
@@ -166,7 +153,9 @@ struct ExecOptions {
   /// and excluded from the accounting-identity guarantee.
   bool hash_equijoin = false;
   /// Use the original whole-table bottom-up evaluator (the differential
-  /// oracle and bench baseline).
+  /// oracle and bench baseline). It interprets expressions and resolves
+  /// every navigation step by name, where the batched engine runs compiled
+  /// bytecode over bound field slots.
   bool use_legacy = false;
   /// The run's lifecycle budget (deadline / cancel / memory), referenced —
   /// never copied — from the QueryOptions' QueryContext. Null = unbounded.

@@ -208,7 +208,6 @@ ResultCursor Executor::ExecuteStream(const PTNode& plan, ExecOptions options) {
   cfg.batch_rows = options.batch_rows;
   cfg.exec_threads = options.exec_threads;
   cfg.hash_equijoin = options.hash_equijoin;
-  cfg.compiled_eval = options.compiled_eval;
   cfg.pool = PoolFor(options.exec_threads);
   cfg.fix_cache = &fix_cache_;
   cfg.collect_op_stats = collect_op_stats_;

@@ -9,6 +9,8 @@ const char* OpCodeName(OpCode op) {
   switch (op) {
     case OpCode::kLoadConst:
       return "LoadConst";
+    case OpCode::kLoadNull:
+      return "LoadNull";
     case OpCode::kLoadColumn:
       return "LoadColumn";
     case OpCode::kNavigate:
@@ -41,20 +43,21 @@ const char* OpCodeName(OpCode op) {
   return "?";
 }
 
-uint16_t BytecodeChunk::AddConst(const Value& v) {
+uint32_t BytecodeChunk::AddConst(const Value& v) {
   for (size_t i = 0; i < consts.size(); ++i) {
-    if (consts[i].Compare(v) == 0) return static_cast<uint16_t>(i);
+    if (consts[i].Compare(v) == 0) return static_cast<uint32_t>(i);
   }
   consts.push_back(v);
-  return static_cast<uint16_t>(consts.size() - 1);
+  return static_cast<uint32_t>(consts.size() - 1);
 }
 
-uint16_t BytecodeChunk::AddPath(const std::vector<std::string>& path) {
+uint32_t BytecodeChunk::AddPath(const Database& db,
+                                const std::vector<std::string>& path) {
   for (size_t i = 0; i < paths.size(); ++i) {
-    if (paths[i] == path) return static_cast<uint16_t>(i);
+    if (paths[i].names == path) return static_cast<uint32_t>(i);
   }
-  paths.push_back(path);
-  return static_cast<uint16_t>(paths.size() - 1);
+  paths.push_back(BindPath(db, path));
+  return static_cast<uint32_t>(paths.size() - 1);
 }
 
 namespace {
@@ -72,14 +75,17 @@ Status BytecodeChunk::Validate() const {
     return Status::Error(Status::Code::kInternal,
                          "malformed bytecode chunk: empty code");
   }
-  auto vreg_ok = [&](uint8_t r) { return r < num_value_regs; };
-  auto breg_ok = [&](uint8_t r) { return r < num_bool_regs; };
+  auto vreg_ok = [&](uint16_t r) { return r < num_value_regs; };
+  auto breg_ok = [&](uint16_t r) { return r < num_bool_regs; };
   for (size_t ip = 0; ip < code.size(); ++ip) {
     const Instr& in = code[ip];
     switch (in.op) {
       case OpCode::kLoadConst:
         if (!vreg_ok(in.a)) return Malformed(ip, "value register out of range");
         if (in.d >= consts.size()) return Malformed(ip, "constant out of range");
+        break;
+      case OpCode::kLoadNull:
+        if (!vreg_ok(in.a)) return Malformed(ip, "value register out of range");
         break;
       case OpCode::kLoadColumn:
         if (!vreg_ok(in.a)) return Malformed(ip, "value register out of range");
@@ -94,7 +100,7 @@ Status BytecodeChunk::Validate() const {
         if (!vreg_ok(in.a) || !vreg_ok(in.b) || !vreg_ok(in.c)) {
           return Malformed(ip, "value register out of range");
         }
-        if (in.d > static_cast<uint16_t>(ArithOp::kSub)) {
+        if (in.d > static_cast<uint32_t>(ArithOp::kSub)) {
           return Malformed(ip, "bad arithmetic operator");
         }
         break;
@@ -103,13 +109,13 @@ Status BytecodeChunk::Validate() const {
         if (!vreg_ok(in.b) || !vreg_ok(in.c)) {
           return Malformed(ip, "value register out of range");
         }
-        if (in.d > static_cast<uint16_t>(CompareOp::kGe)) {
+        if (in.d > static_cast<uint32_t>(CompareOp::kGe)) {
           return Malformed(ip, "bad comparison operator");
         }
         break;
       case OpCode::kCmpColConst:
         if (!breg_ok(in.a)) return Malformed(ip, "bool register out of range");
-        if (in.b > static_cast<uint8_t>(CompareOp::kGe)) {
+        if (in.b > static_cast<uint16_t>(CompareOp::kGe)) {
           return Malformed(ip, "bad comparison operator");
         }
         if (in.c >= num_cols) return Malformed(ip, "column out of range");
@@ -192,12 +198,15 @@ std::string BytecodeChunk::Disassemble() const {
       case OpCode::kLoadConst:
         out += StrFormat(" v%u, %s", in.a, consts[in.d].ToString().c_str());
         break;
+      case OpCode::kLoadNull:
+        out += StrFormat(" v%u", in.a);
+        break;
       case OpCode::kLoadColumn:
         out += StrFormat(" v%u, col%u", in.a, in.d);
         break;
       case OpCode::kNavigate:
         out += StrFormat(" v%u, col%u.%s", in.a, in.d,
-                         PathText(paths[in.e]).c_str());
+                         PathText(paths[in.e].names).c_str());
         break;
       case OpCode::kArith:
         out += StrFormat(" v%u, v%u %s v%u", in.a, in.b, ArithOpText(in.d),
@@ -214,7 +223,7 @@ std::string BytecodeChunk::Disassemble() const {
                            consts[in.d].ToString().c_str());
         } else {
           out += StrFormat(" b%u, col%u.%s %s %s", in.a, in.c,
-                           PathText(paths[in.e]).c_str(),
+                           PathText(paths[in.e].names).c_str(),
                            CompareOpName(static_cast<CompareOp>(in.b)),
                            consts[in.d].ToString().c_str());
         }

@@ -31,7 +31,10 @@ struct VmScratch {
 
   /// Grows the register files to the chunk's requirements (no-op when
   /// already large enough).
-  void Prepare(const BytecodeChunk& chunk);
+  void Prepare(const BytecodeChunk& chunk) {
+    if (vregs.size() < chunk.num_value_regs) vregs.resize(chunk.num_value_regs);
+    if (bregs.size() < chunk.num_bool_regs) bregs.resize(chunk.num_bool_regs);
+  }
 };
 
 /// Runs a predicate program (kRetBool terminal) against `row`. Page charges

@@ -49,8 +49,8 @@ constexpr uint8_t kTagSet = 7;
 
 // WireQueryOptions flag bits.
 constexpr uint8_t kFlagBypassPlanCache = 1u << 0;
-constexpr uint8_t kFlagCompiledEvalSet = 1u << 1;
-constexpr uint8_t kFlagCompiledEvalOn = 1u << 2;
+// Bits 1 and 2 once carried a compiled-eval override. Compiled eval is the
+// only evaluator now: encoders leave the bits clear, decoders ignore them.
 // v3: adaptive-feedback override. Tuning flag gates a two-F64 tail (drift
 // threshold, EWMA alpha) appended after the flags byte — old payloads never
 // carry the flag, so they decode unchanged.
@@ -165,10 +165,6 @@ void WireQueryOptions::Encode(PayloadWriter* w, uint32_t version) const {
   w->U32(batch_rows);
   uint8_t flags = 0;
   if (bypass_plan_cache) flags |= kFlagBypassPlanCache;
-  if (compiled_eval.has_value()) {
-    flags |= kFlagCompiledEvalSet;
-    if (*compiled_eval) flags |= kFlagCompiledEvalOn;
-  }
   const bool tuning = feedback_drift != 0 || feedback_alpha != 0;
   if (version >= 3) {
     if (feedback.has_value()) {
@@ -198,11 +194,6 @@ bool WireQueryOptions::Decode(PayloadReader* r) {
     return false;
   }
   bypass_plan_cache = (flags & kFlagBypassPlanCache) != 0;
-  if ((flags & kFlagCompiledEvalSet) != 0) {
-    compiled_eval = (flags & kFlagCompiledEvalOn) != 0;
-  } else {
-    compiled_eval.reset();
-  }
   if ((flags & kFlagFeedbackSet) != 0) {
     feedback = (flags & kFlagFeedbackOn) != 0;
   } else {
@@ -230,7 +221,6 @@ QueryOptions WireQueryOptions::ToQueryOptions() const {
   options.query.memory_budget_pages = memory_budget_pages;
   if (exec_threads != 0) options.exec_threads = exec_threads;
   if (batch_rows != 0) options.batch_rows = batch_rows;
-  options.compiled_eval = compiled_eval;
   options.bypass_plan_cache = bypass_plan_cache;
   options.feedback.enabled = feedback;
   options.feedback.drift_threshold = feedback_drift;
@@ -252,7 +242,6 @@ WireQueryOptions WireQueryOptions::FromQueryOptions(
   wire.batch_rows =
       options.batch_rows ? static_cast<uint32_t>(*options.batch_rows) : 0;
   wire.bypass_plan_cache = options.bypass_plan_cache;
-  wire.compiled_eval = options.compiled_eval;
   wire.feedback = options.feedback.enabled;
   wire.feedback_drift = options.feedback.drift_threshold;
   wire.feedback_alpha = options.feedback.ewma_alpha;

@@ -173,8 +173,6 @@ struct WireQueryOptions {
   uint32_t exec_threads = 0;         // 0 = inherit executor default
   uint32_t batch_rows = 0;           // 0 = inherit executor default
   bool bypass_plan_cache = false;
-  /// Tri-state compiled-eval override (nullopt = inherit).
-  std::optional<bool> compiled_eval;
   /// Tri-state adaptive-feedback override (v3+; nullopt = inherit the
   /// server's RODIN_FEEDBACK default). The tuning knobs follow the facade's
   /// inherit rule: 0 = server default (kDefaultDriftThreshold /

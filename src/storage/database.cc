@@ -26,13 +26,18 @@ Database::Database(const Schema* schema) : schema_(schema) {
     for (const Attribute& a : cls->AllAttributes()) {
       if (!a.computed) ++stored;
     }
+    RODIN_CHECK(cls->id() == extents_.size(), "class ids must be dense");
     ExtentInfo info;
     info.extent = std::make_unique<Extent>(cls->name(), stored);
     info.is_relation = false;
     info.id = cls->id();
+    info.cls = cls.get();
     extents_.push_back(std::move(info));
   }
+  num_classes_ = extents_.size();
   for (const auto& rel : schema->relations()) {
+    RODIN_CHECK(rel->id() == extents_.size() - num_classes_,
+                "relation ids must be dense");
     ExtentInfo info;
     info.extent = std::make_unique<Extent>(
         rel->name(), static_cast<uint32_t>(rel->AllAttributes().size()));
@@ -59,13 +64,33 @@ const Database::ExtentInfo* Database::FindInfo(const std::string& name) const {
 }
 
 const Database::ExtentInfo* Database::InfoOf(Oid oid) const {
-  const bool is_rel = IsRelationOid(oid);
-  const uint32_t id = oid.class_id & ~kRelationOidBit;
-  for (const ExtentInfo& info : extents_) {
-    if (info.is_relation == is_rel && info.id == id) return &info;
+  const ExtentInfo* info = InfoOfOrNull(oid);
+  RODIN_CHECK(info != nullptr, "oid does not match any extent");
+  return info;
+}
+
+Database::FieldBinding Database::BindField(size_t extent_index,
+                                           const std::string& attr) const {
+  RODIN_CHECK(finalized_, "field binding before Finalize");
+  RODIN_CHECK(extent_index < extents_.size(), "extent index out of range");
+  const ExtentInfo& info = extents_[extent_index];
+  FieldBinding b;
+  b.extent = info.extent.get();
+  if (info.cls != nullptr) {
+    const Attribute* a = info.cls->FindAttribute(attr);
+    if (a != nullptr && a->computed) {
+      b.kind = FieldBinding::Kind::kComputed;
+      b.method_cost = a->method_cost;
+      b.method = FindMethod(info.cls, attr);
+      return b;
+    }
   }
-  RODIN_CHECK(false, "oid does not match any extent");
-  return nullptr;
+  b.field = FieldIndex(info.extent->name(), attr);
+  if (b.field >= 0) {
+    b.kind = FieldBinding::Kind::kStored;
+    b.vfrag = b.extent->VfragOfField(b.field);
+  }
+  return b;
 }
 
 Oid Database::NewObject(const std::string& class_name) {
@@ -121,25 +146,20 @@ void Database::RegisterMethod(const std::string& class_name,
   methods_[{class_name, attr}] = std::move(fn);
 }
 
-bool Database::HasMethod(const std::string& class_name,
-                         const std::string& attr) const {
-  // Methods are inherited: search up the chain.
-  for (const ClassDef* c = schema_->FindClass(class_name); c != nullptr;
-       c = c->super()) {
-    if (methods_.count({c->name(), attr}) > 0) return true;
+const Database::MethodFn* Database::FindMethod(const ClassDef* cls,
+                                               const std::string& attr) const {
+  // Methods are inherited: the nearest registered body wins.
+  for (const ClassDef* c = cls; c != nullptr; c = c->super()) {
+    auto it = methods_.find({c->name(), attr});
+    if (it != methods_.end()) return &it->second;
   }
-  return false;
+  return nullptr;
 }
 
 Value Database::InvokeMethod(Oid oid, const std::string& attr) const {
-  const ExtentInfo* info = InfoOf(oid);
-  for (const ClassDef* c = schema_->FindClass(info->extent->name());
-       c != nullptr; c = c->super()) {
-    auto it = methods_.find({c->name(), attr});
-    if (it != methods_.end()) return it->second(*this, oid);
-  }
-  RODIN_CHECK(false, "no method registered for attribute");
-  return Value::Null();
+  const MethodFn* fn = FindMethod(InfoOf(oid)->cls, attr);
+  RODIN_CHECK(fn != nullptr, "no method registered for attribute");
+  return (*fn)(*this, oid);
 }
 
 Value Database::GetRaw(Oid oid, const std::string& attr) const {
@@ -183,12 +203,10 @@ PageId Database::AllocatePages(uint64_t n) {
 }
 
 const Database::ExtentInfo* Database::InfoOfOrNull(Oid oid) const {
-  const bool is_rel = IsRelationOid(oid);
   const uint32_t id = oid.class_id & ~kRelationOidBit;
-  for (const ExtentInfo& info : extents_) {
-    if (info.is_relation == is_rel && info.id == id) return &info;
-  }
-  return nullptr;
+  const size_t index = IsRelationOid(oid) ? num_classes_ + id : id;
+  const size_t end = IsRelationOid(oid) ? extents_.size() : num_classes_;
+  return index < end ? &extents_[index] : nullptr;
 }
 
 Status Database::Apply(const MutationBatch& batch, MutationResult* result) {
@@ -833,36 +851,13 @@ void Database::Finalize(PhysicalConfig config) {
   finalized_ = true;
 }
 
-Value Database::GetCharged(Oid oid, const std::string& attr) {
-  return GetCharged(oid, attr, pool_.get());
+void Database::ChargeRecordAccess(Oid oid) {
+  ChargeRecordAccess(oid, pool_.get());
 }
 
-Value Database::GetCharged(Oid oid, const std::string& attr,
-                           PageCharger* charger) const {
+void Database::ChargeRecordAccess(Oid oid, PageCharger* charger) const {
   RODIN_CHECK(finalized_, "charged access before Finalize");
-  const ExtentInfo* info = InfoOf(oid);
-  const int field = FieldIndex(info->extent->name(), attr);
-  RODIN_CHECK(field >= 0, "unknown or computed attribute in GetCharged");
-  const Extent* e = info->extent.get();
-  charger->Charge(e->PageOf(oid.slot, e->VfragOfField(field)));
-  return e->Record(oid.slot)[field];
-}
-
-void Database::ChargeRecordAccess(Oid oid, const std::vector<int>& fields) {
-  ChargeRecordAccess(oid, fields, pool_.get());
-}
-
-void Database::ChargeRecordAccess(Oid oid, const std::vector<int>& fields,
-                                  PageCharger* charger) const {
-  RODIN_CHECK(finalized_, "charged access before Finalize");
-  const Extent* e = InfoOf(oid)->extent.get();
-  std::set<uint16_t> vfrags;
-  if (fields.empty()) {
-    vfrags.insert(0);
-  } else {
-    for (int f : fields) vfrags.insert(e->VfragOfField(f));
-  }
-  for (uint16_t v : vfrags) charger->Charge(e->PageOf(oid.slot, v));
+  charger->Charge(InfoOf(oid)->extent->PageOf(oid.slot, 0));
 }
 
 void Database::ScanEntity(

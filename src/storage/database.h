@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "catalog/schema.h"
+#include "common/check.h"
 #include "common/status.h"
 #include "storage/btree_index.h"
 #include "storage/buffer_pool.h"
@@ -127,6 +128,39 @@ class Database {
   /// attribute is computed or absent.
   int FieldIndex(const std::string& extent_name, const std::string& attr) const;
 
+  // --- Resolved attribute access (executor hot path) -----------------------
+
+  /// One attribute name resolved against one extent, so that reading it
+  /// needs no name lookups: a stored field (charged on the record's page in
+  /// `vfrag`), a computed attribute (its method and declared cost), or
+  /// absent. Class ids, storage positions and vertical fragments never
+  /// change after Finalize, so a binding stays valid across commits.
+  struct FieldBinding {
+    enum class Kind : uint8_t { kAbsent, kStored, kComputed };
+    Kind kind = Kind::kAbsent;
+    const Extent* extent = nullptr;
+    int field = -1;                    // kStored: position in the record
+    uint16_t vfrag = 0;                // kStored: fragment holding `field`
+    double method_cost = 0;            // kComputed: declared cost per call
+    const MethodFn* method = nullptr;  // kComputed: null if none registered
+  };
+
+  /// Dense index of the extent `oid` belongs to — classes by id, then
+  /// relations by id — in constant time. Aborts on an oid of no extent.
+  size_t ExtentIndexOf(Oid oid) const {
+    const uint32_t id = oid.class_id & ~kRelationOidBit;
+    const bool rel = IsRelationOid(oid);
+    const size_t index = rel ? num_classes_ + id : id;
+    RODIN_CHECK(index < (rel ? extents_.size() : num_classes_),
+                "oid does not match any extent");
+    return index;
+  }
+  size_t num_extents() const { return extents_.size(); }
+
+  /// Resolves `attr` on the extent at `extent_index` (see ExtentIndexOf).
+  /// Only after Finalize, which fixes the vertical fragments.
+  FieldBinding BindField(size_t extent_index, const std::string& attr) const;
+
   // --- Charged access (executor) -------------------------------------------
   //
   // Each accessor has two forms: the original one charging the database's
@@ -134,18 +168,13 @@ class Database {
   // The charger form is what the batched executor's worker morsels use (each
   // morsel records into its own ChargeLog; the logs are replayed into the
   // pool later, in canonical order), so it must be safe to call from many
-  // threads at once as long as each thread brings its own charger.
+  // threads at once as long as each thread brings its own charger. Field
+  // reads are charged through FieldBinding (see eval_core's navigation).
 
-  /// Reads a field, charging the page holding its vertical fragment.
-  Value GetCharged(Oid oid, const std::string& attr);
-  Value GetCharged(Oid oid, const std::string& attr,
-                   PageCharger* charger) const;
-
-  /// Charges the page(s) of record `oid` covering the given fields (one page
-  /// per distinct vertical fragment touched).
-  void ChargeRecordAccess(Oid oid, const std::vector<int>& fields);
-  void ChargeRecordAccess(Oid oid, const std::vector<int>& fields,
-                          PageCharger* charger) const;
+  /// Charges the page holding record `oid`'s primary (vfrag 0) fragment:
+  /// the access an object dereference or a method's receiver read costs.
+  void ChargeRecordAccess(Oid oid);
+  void ChargeRecordAccess(Oid oid, PageCharger* charger) const;
 
   /// Sequentially scans atomic entity `e`, invoking `fn(oid, record)` for
   /// every record; pages are charged in scan order.
@@ -172,8 +201,6 @@ class Database {
 
   // --- Methods --------------------------------------------------------------
 
-  bool HasMethod(const std::string& class_name, const std::string& attr) const;
-
   /// Invokes a computed attribute. Charges nothing itself; the executor
   /// accounts for the invocation using the attribute's method_cost.
   Value InvokeMethod(Oid oid, const std::string& attr) const;
@@ -197,6 +224,7 @@ class Database {
     bool is_relation = false;
     uint32_t id = 0;           // class id or relation id
     uint64_t record_bytes = 8;  // derived or overridden at Finalize
+    const ClassDef* cls = nullptr;  // null for relations
   };
 
   ExtentInfo* FindInfo(const std::string& name);
@@ -205,6 +233,9 @@ class Database {
   /// Like InfoOf but returns null instead of aborting (write-path
   /// validation of untrusted oids).
   const ExtentInfo* InfoOfOrNull(Oid oid) const;
+  /// The body of computed attribute `attr` on `cls`: the nearest one
+  /// registered up the inheritance chain, or null.
+  const MethodFn* FindMethod(const ClassDef* cls, const std::string& attr) const;
 
   uint64_t DeriveRecordBytes(const ExtentInfo& info) const;
   void LayoutExtents();
@@ -221,7 +252,9 @@ class Database {
   PageId next_page_ = 0;
   std::mutex alloc_mu_;  // guards next_page_ after Finalize
 
-  std::vector<ExtentInfo> extents_;  // classes then relations, stable order
+  /// Classes in id order, then relations in id order (see ExtentIndexOf).
+  std::vector<ExtentInfo> extents_;
+  size_t num_classes_ = 0;
   std::map<std::pair<std::string, std::string>, MethodFn> methods_;
   std::vector<std::unique_ptr<BTreeIndex>> sel_indexes_;
   std::vector<std::string> sel_index_extent_;  // parallel to sel_indexes_

@@ -14,11 +14,6 @@ uint32_t Extent::Insert(std::vector<Value> fields) {
   return static_cast<uint32_t>(records_.size() - 1);
 }
 
-const std::vector<Value>& Extent::Record(uint32_t slot) const {
-  RODIN_CHECK(slot < records_.size(), "slot out of range");
-  return records_[slot];
-}
-
 std::vector<Value>& Extent::MutableRecord(uint32_t slot) {
   RODIN_CHECK(slot < records_.size(), "slot out of range");
   return records_[slot];

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "storage/buffer_pool.h"
 #include "storage/value.h"
 #include "txn/mutation.h"
@@ -59,7 +60,10 @@ class Extent {
   /// Appends a record; returns its slot. Only valid before Finalize.
   uint32_t Insert(std::vector<Value> fields);
 
-  const std::vector<Value>& Record(uint32_t slot) const;
+  const std::vector<Value>& Record(uint32_t slot) const {
+    RODIN_CHECK(slot < records_.size(), "slot out of range");
+    return records_[slot];
+  }
   std::vector<Value>& MutableRecord(uint32_t slot);
 
   // --- Liveness (write path) ----------------------------------------------

@@ -49,16 +49,6 @@ const std::string& Value::AsString() const {
   return std::get<std::string>(rep_);
 }
 
-Oid Value::AsRef() const {
-  RODIN_CHECK(is_ref(), "value is not an object reference");
-  return std::get<Oid>(rep_);
-}
-
-const Collection& Value::AsCollection() const {
-  RODIN_CHECK(is_collection(), "value is not a collection");
-  return *std::get<std::shared_ptr<const Collection>>(rep_);
-}
-
 double Value::AsNumber() const {
   if (is_int()) return static_cast<double>(AsInt());
   return AsReal();

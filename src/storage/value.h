@@ -7,6 +7,8 @@
 #include <variant>
 #include <vector>
 
+#include "common/check.h"
+
 namespace rodin {
 
 /// Object identifier: class id + slot within the class extent. The physical
@@ -70,8 +72,14 @@ class Value {
   int64_t AsInt() const;
   double AsReal() const;
   const std::string& AsString() const;
-  Oid AsRef() const;
-  const Collection& AsCollection() const;
+  Oid AsRef() const {
+    RODIN_CHECK(is_ref(), "value is not an object reference");
+    return std::get<Oid>(rep_);
+  }
+  const Collection& AsCollection() const {
+    RODIN_CHECK(is_collection(), "value is not a collection");
+    return *std::get<std::shared_ptr<const Collection>>(rep_);
+  }
 
   /// Numeric view: int or real as double. Aborts otherwise.
   double AsNumber() const;

@@ -208,5 +208,74 @@ TEST(ChargeLogTest, ClearEmpties) {
   EXPECT_TRUE(sink.pages.empty());
 }
 
+TEST(ChargeLogTest, ChargeRunMatchesSingleCharges) {
+  // A run logged whole must replay exactly like its charges one by one,
+  // including when it continues the previous span.
+  ChargeLog runs;
+  std::vector<PageId> flat;
+  auto add = [&](PageId first, uint32_t count, uint32_t step) {
+    runs.ChargeRun(first, count, step);
+    for (uint32_t i = 0; i < count; ++i) flat.push_back(first + i * step);
+  };
+  add(4, 3, 0);
+  add(4, 2, 0);  // continues the repeated run
+  add(5, 4, 1);
+  add(9, 1, 7);  // a single charge ignores its stride
+  add(10, 3, 1);
+  add(2, 0, 1);  // an empty run charges nothing
+  EXPECT_EQ(runs.size(), flat.size());
+  RecordingCharger sink;
+  runs.ReplayInto(&sink);
+  EXPECT_EQ(sink.pages, flat);
+}
+
+/// Everything a pool exposes about a charge sequence's effect.
+struct PoolState {
+  uint64_t fetches, hits, misses, evictions;
+  std::vector<PageId> resident;  // most recently used first
+  friend bool operator==(const PoolState& a, const PoolState& b) {
+    return a.fetches == b.fetches && a.hits == b.hits &&
+           a.misses == b.misses && a.evictions == b.evictions &&
+           a.resident == b.resident;
+  }
+};
+
+PoolState StateOf(const BufferPool& pool) {
+  const BufferPool::Stats& s = pool.stats();
+  return PoolState{s.fetches, s.hits, s.misses, s.evictions,
+                   pool.SnapshotResident()};
+}
+
+TEST(BufferPoolTest, ReplayedRunsMatchFetchByFetch) {
+  // The engine replays its charge logs span by span; the pool must end in
+  // exactly the state the same fetches one at a time leave, whatever the
+  // capacity — eviction pressure, a query budget, or no capacity at all.
+  std::mt19937 rng(11);
+  for (size_t capacity : {0, 1, 3, 16}) {
+    for (size_t budget : {0, 2}) {
+      ChargeLog log;
+      for (int i = 0; i < 200; ++i) {
+        const PageId page = rng() % 12;
+        const uint32_t count = 1 + rng() % 5;
+        log.ChargeRun(page, count, rng() % 2);
+      }
+      RecordingCharger flat;
+      log.ReplayInto(&flat);
+
+      BufferPool by_run(capacity);
+      BufferPool by_fetch(capacity);
+      if (budget > 0) {
+        by_run.SetQueryBudget(budget);
+        by_fetch.SetQueryBudget(budget);
+      }
+      log.ReplayInto(&by_run);
+      for (PageId p : flat.pages) by_fetch.Fetch(p);
+      EXPECT_EQ(StateOf(by_run), StateOf(by_fetch))
+          << "capacity=" << capacity << " budget=" << budget;
+      EXPECT_EQ(by_run.stats().fetches, flat.pages.size());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rodin

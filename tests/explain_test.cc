@@ -176,10 +176,6 @@ TEST_F(ExplainTest, GoldenReport) {
   Session session(g_.db.get(), CostBasedOptions());
   QueryOptions options;
   options.cold = true;
-  // Pinned on (not inherited from RODIN_COMPILED_EVAL) so the golden text —
-  // including the bytecode disassembly block — is identical in every CI
-  // config.
-  options.compiled_eval = true;
   const ExplainResult ex = session.Explain(Fig3Query(*g_.schema, 6), options);
   ASSERT_TRUE(ex.ok()) << ex.status.ToString();
   const std::string got = NormalizeNumbers(ex.ToString());

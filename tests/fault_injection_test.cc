@@ -117,15 +117,16 @@ TEST_F(FaultInjectionTest, RetriedPageFetchFaultIsBitIdenticalToCleanRun) {
 }
 
 TEST_F(FaultInjectionTest, RetriedFaultUnderCompiledEvalIsBitIdenticalToCleanRun) {
-  // Same headline guarantee with the bytecode VM engaged: the faulted
+  // Same headline guarantee against the interpreting oracle: the faulted
   // attempt's partial work is discarded and the surviving compiled retry
-  // matches a clean *interpreted* run bit for bit — the retry path reuses
-  // the same chunks and the same deferred-charge replay, so nothing about
-  // the eval engine may leak into the accounting.
+  // matches a clean run of the legacy engine (interpreted expressions,
+  // by-name navigation) bit for bit — the retry path reuses the same chunks
+  // and the same deferred-charge replay, so nothing about the evaluator may
+  // leak into the accounting.
   Session session(g_.db.get());
   QueryOptions interp;
   interp.cold = true;
-  interp.compiled_eval = false;
+  interp.legacy_exec = true;
   const QueryRun clean = session.Run(kFig3Text, interp);
   ASSERT_TRUE(clean.ok()) << clean.error();
 
@@ -137,7 +138,7 @@ TEST_F(FaultInjectionTest, RetriedFaultUnderCompiledEvalIsBitIdenticalToCleanRun
   FaultInjector::Global().Configure(fc);
 
   QueryOptions compiled = interp;
-  compiled.compiled_eval = true;
+  compiled.legacy_exec = false;
   const QueryRun retried = session.Run(kFig3Text, compiled);
   ASSERT_TRUE(retried.ok()) << retried.status.ToString();
   EXPECT_EQ(FaultInjector::Global().faults_injected(), 1u);
@@ -151,7 +152,6 @@ TEST_F(FaultInjectionTest, RetriedAllocFaultUnderCompiledEvalIsBitIdentical) {
   Session session(g_.db.get());
   QueryOptions options;
   options.cold = true;
-  options.compiled_eval = true;
   const QueryRun clean = session.Run(kFig3Text, options);
   ASSERT_TRUE(clean.ok()) << clean.error();
 

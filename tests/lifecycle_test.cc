@@ -198,8 +198,8 @@ TEST_F(LifecycleTest, DeadlineStopsPartiallyReadCursor) {
 
 // Reads exactly `batches_before_cancel` single-row batches, then requests
 // cancellation from the reader thread itself — a deterministic cancel point:
-// the coordinator observes the flag on the next poll, so two runs that only
-// differ in the eval engine stop after identical work.
+// the coordinator observes the flag on the next poll, so two runs stop after
+// identical work.
 struct PartialRun {
   Status::Code code;
   size_t rows_read;
@@ -207,12 +207,10 @@ struct PartialRun {
   double measured_cost;
 };
 
-PartialRun CancelAfterBatches(Session& session, bool compiled,
-                              size_t batches_before_cancel) {
+PartialRun CancelAfterBatches(Session& session, size_t batches_before_cancel) {
   QueryOptions options;
   options.cold = true;
   options.batch_rows = 1;
-  options.compiled_eval = compiled;
   CancelToken token = options.query.cancel;
 
   ResultCursor cur = session.Query(kFig3Text, options);
@@ -231,37 +229,35 @@ PartialRun CancelAfterBatches(Session& session, bool compiled,
   return out;
 }
 
-TEST_F(LifecycleTest, MidStreamCancelPartialAccountingMatchesUnderCompiledEval) {
-  // The satellite contract: a cursor cancelled at the same mid-stream point
-  // finalizes with *identical partial accounting* whether the predicates ran
-  // interpreted or compiled. Partial replay is the hard case — the compiled
-  // engine must have charged/counted exactly what the interpreter would
-  // have at every batch boundary, not merely at the end of the run.
+TEST_F(LifecycleTest, MidStreamCancelPartialAccountingIsDeterministic) {
+  // A cursor cancelled at the same mid-stream point finalizes with
+  // *identical partial accounting* on every run. Partial replay is the hard
+  // case: the compiled operators must have charged and counted the same
+  // work at every batch boundary, not merely at the end of the run.
   Session session(g_.db.get());
-  const PartialRun interp = CancelAfterBatches(session, /*compiled=*/false, 3);
-  const PartialRun comp = CancelAfterBatches(session, /*compiled=*/true, 3);
+  const PartialRun first = CancelAfterBatches(session, 3);
+  const PartialRun second = CancelAfterBatches(session, 3);
 
-  EXPECT_EQ(interp.code, Status::Code::kCancelled);
-  EXPECT_EQ(comp.code, Status::Code::kCancelled);
-  EXPECT_EQ(comp.rows_read, interp.rows_read);
-  EXPECT_EQ(comp.counters.predicate_evals, interp.counters.predicate_evals);
-  EXPECT_EQ(comp.counters.method_calls, interp.counters.method_calls);
-  EXPECT_EQ(comp.counters.method_cost, interp.counters.method_cost);
-  EXPECT_EQ(comp.counters.rows_produced, interp.counters.rows_produced);
-  EXPECT_EQ(comp.counters.fix_iterations, interp.counters.fix_iterations);
-  EXPECT_EQ(comp.measured_cost, interp.measured_cost);
+  EXPECT_EQ(first.code, Status::Code::kCancelled);
+  EXPECT_EQ(second.code, Status::Code::kCancelled);
+  EXPECT_EQ(second.rows_read, first.rows_read);
+  EXPECT_EQ(second.counters.predicate_evals, first.counters.predicate_evals);
+  EXPECT_EQ(second.counters.method_calls, first.counters.method_calls);
+  EXPECT_EQ(second.counters.method_cost, first.counters.method_cost);
+  EXPECT_EQ(second.counters.rows_produced, first.counters.rows_produced);
+  EXPECT_EQ(second.counters.fix_iterations, first.counters.fix_iterations);
+  EXPECT_EQ(second.measured_cost, first.measured_cost);
 }
 
-TEST_F(LifecycleTest, ConcurrentCancelWhileStreamingCompiledEval) {
+TEST_F(LifecycleTest, ConcurrentCancelWhileStreamingOnMorselWorkers) {
   // TSan target: the canceller races a reader that is executing bytecode
-  // chunks on morsel workers. Same benign-race contract as the interpreted
+  // chunks on morsel workers. Same benign-race contract as the sequential
   // variant — clean finish or kCancelled, nothing else.
   Session session(g_.db.get());
   QueryOptions options;
   options.cold = true;
   options.batch_rows = 1;
   options.exec_threads = 4;
-  options.compiled_eval = true;
   CancelToken token = options.query.cancel;
 
   ResultCursor cur = session.Query(kFig3Text, options);
@@ -275,32 +271,6 @@ TEST_F(LifecycleTest, ConcurrentCancelWhileStreamingCompiledEval) {
   if (!cur.ok()) {
     EXPECT_EQ(cur.status().code, Status::Code::kCancelled);
   }
-}
-
-TEST_F(LifecycleTest, DeadlineStopsPartiallyReadCompiledEvalCursor) {
-  // Deadline trip mid-stream with the VM engaged: the budget poll sits at
-  // the batch boundary, outside the chunk dispatch loop, so compiled eval
-  // must surface the same kDeadlineExceeded edge as interpreted eval.
-  Session session(g_.db.get());
-  QueryOptions options;
-  options.cold = true;
-  options.batch_rows = 1;
-  options.compiled_eval = true;
-  options.query.deadline_ms = 200;
-
-  ResultCursor cur = session.Query(kFig3Text, options);
-  if (!cur.ok()) {
-    EXPECT_EQ(cur.status().code, Status::Code::kDeadlineExceeded);
-    return;
-  }
-  RowBatch batch;
-  cur.Next(&batch);
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  while (cur.Next(&batch)) {
-  }
-  EXPECT_TRUE(cur.finished());
-  ASSERT_FALSE(cur.ok());
-  EXPECT_EQ(cur.status().code, Status::Code::kDeadlineExceeded);
 }
 
 TEST_F(LifecycleTest, GenerousDeadlineIsDeterministicallyIdentical) {

@@ -42,6 +42,12 @@ relation Influencer includes
 
 select [n: j.disciple.name] from j in Influencer where j.gen >= 1
 )";
+// A 90,000-row answer at size 300 (40,000 at 200), far more than the socket
+// buffers hold: a client that stops reading after a few rows leaves the
+// worker mid-stream, and one that reads every row one frame at a time keeps
+// its request in flight for a long, load-independent window.
+constexpr const char* kLongAnswerQuery =
+    "select [a: x.name, b: y.name] from x in Composer, y in Composer";
 
 // ---------------------------------------------------------------- codec --
 
@@ -103,12 +109,29 @@ TEST(WireCodecTest, PayloadPrimitivesRoundTripAndBoundsCheck) {
   EXPECT_FALSE(bad.U64(&u64));  // stays poisoned
 }
 
+TEST(WireCodecTest, RetiredCompiledEvalFlagBitsAreIgnored) {
+  // Flag bits 1 and 2 once carried a compiled-eval override. A payload that
+  // still sets them decodes as if they were clear.
+  QueryOptions options;
+  options.bypass_plan_cache = true;
+  PayloadWriter w;
+  WireQueryOptions::FromQueryOptions(options).Encode(&w);
+  std::string payload = w.data();
+  const size_t flags_at = 8 + 8 + 4 + 4;  // deadline, budget, threads, batch
+  ASSERT_GT(payload.size(), flags_at);
+  payload[flags_at] = static_cast<char>(payload[flags_at] | 0x06);
+  PayloadReader r(payload.data(), payload.size());
+  WireQueryOptions wire;
+  ASSERT_TRUE(wire.Decode(&r));
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_TRUE(wire.ToQueryOptions().bypass_plan_cache);
+}
+
 TEST(WireCodecTest, QueryOptionsRoundTripPreservesInheritRule) {
   QueryOptions original;
   original.query.deadline_ms = 250;
   original.query.memory_budget_pages = 1000;
   original.exec_threads = 4;
-  original.compiled_eval = false;
   original.bypass_plan_cache = true;
   // batch_rows stays nullopt: must survive as "inherit", not become 0.
 
@@ -126,8 +149,6 @@ TEST(WireCodecTest, QueryOptionsRoundTripPreservesInheritRule) {
   ASSERT_TRUE(decoded.exec_threads.has_value());
   EXPECT_EQ(*decoded.exec_threads, 4u);
   EXPECT_FALSE(decoded.batch_rows.has_value());
-  ASSERT_TRUE(decoded.compiled_eval.has_value());
-  EXPECT_FALSE(*decoded.compiled_eval);
   EXPECT_TRUE(decoded.bypass_plan_cache);
 
   QueryOptions defaults;
@@ -140,7 +161,6 @@ TEST(WireCodecTest, QueryOptionsRoundTripPreservesInheritRule) {
   const QueryOptions decoded2 = wire2.ToQueryOptions();
   EXPECT_FALSE(decoded2.exec_threads.has_value());
   EXPECT_FALSE(decoded2.batch_rows.has_value());
-  EXPECT_FALSE(decoded2.compiled_eval.has_value());
   EXPECT_FALSE(decoded2.feedback.enabled.has_value());
   EXPECT_EQ(decoded2.feedback.drift_threshold, 0.0);
   EXPECT_EQ(decoded2.feedback.ewma_alpha, 0.0);
@@ -543,12 +563,12 @@ TEST_F(ServerTest, DeadlineTravelsTheWire) {
 TEST_F(ServerTest, ShedUnderLoadReturnsTypedOverloaded) {
   StartServer(200, /*workers=*/2, /*max_in_flight=*/1);
 
-  // Occupy the single admission slot with a slow recursive query...
+  // Occupy the single admission slot with a long-streaming query...
   std::thread occupant([&] {
     Client slow = Connected();
     QueryOptions options;
     options.batch_rows = 1;
-    const ClientResult r = slow.Query(kRecursiveQuery, options);
+    const ClientResult r = slow.Query(kLongAnswerQuery, options);
     EXPECT_TRUE(r.ok()) << r.status.ToString();
     slow.Goodbye();
   });
@@ -579,11 +599,13 @@ TEST_F(ServerTest, DisconnectMidStreamCancelsTheQuery) {
   Client client = Connected();
   QueryOptions options;
   options.batch_rows = 1;  // one row per ROWS frame: a long streaming window
-  // Abruptly close the socket after two rows of a many-thousand-row
-  // recursive answer. The I/O thread must observe the hangup and trip the
-  // query's CancelToken while the worker is still streaming.
+  // Abruptly close the socket after two rows of a 90,000-row answer. The
+  // I/O thread must observe the hangup and trip the query's CancelToken
+  // while the worker is still streaming. (The recursive query's few hundred
+  // rows fit in the socket buffers, so a fast worker could retire it before
+  // the client even closes.)
   const ClientResult result =
-      client.Query(kRecursiveQuery, options, /*stop_after_rows=*/2);
+      client.Query(kLongAnswerQuery, options, /*stop_after_rows=*/2);
   EXPECT_EQ(result.status.code, Status::Code::kCancelled);
   EXPECT_EQ(result.rows_streamed, 2u);
 
@@ -697,7 +719,7 @@ TEST_F(ServerTest, StopWhileQueriesInFlightDoesNotHang) {
   std::thread runner([&] {
     // The reply is either a clean answer (server raced ahead) or an error /
     // closed connection — the only hard requirement is no hang.
-    client.Query(kRecursiveQuery, options);
+    client.Query(kLongAnswerQuery, options);
   });
   ASSERT_TRUE(EventuallyTrue(
       [](const Server::Stats& s) { return s.admission.in_flight >= 1; }));

@@ -126,8 +126,27 @@ TEST_F(StorageTest, ChargedAccessFetchesPages) {
   auto db = Populate(100, PhysicalConfig{});
   const ClassDef* owner = schema_.FindClass("Owner");
   const auto before = db->buffer_pool().stats().fetches;
-  db->GetCharged(Oid{owner->id(), 5}, "k");
+  db->ChargeRecordAccess(Oid{owner->id(), 5});
   EXPECT_EQ(db->buffer_pool().stats().fetches, before + 1);
+}
+
+TEST_F(StorageTest, BindFieldResolvesSlotAndFragment) {
+  auto db = Populate(100, PhysicalConfig{});
+  const Oid oid{schema_.FindClass("Owner")->id(), 5};
+  const size_t index = db->ExtentIndexOf(oid);
+  const Database::FieldBinding k = db->BindField(index, "k");
+  EXPECT_EQ(k.kind, Database::FieldBinding::Kind::kStored);
+  EXPECT_EQ(k.extent, db->FindExtent("Owner"));
+  EXPECT_EQ(k.field, db->FieldIndex("Owner", "k"));
+  EXPECT_EQ(k.vfrag, k.extent->VfragOfField(k.field));
+  EXPECT_EQ(k.extent->Record(oid.slot)[k.field], db->GetRaw(oid, "k"));
+  EXPECT_EQ(db->BindField(index, "missing").kind,
+            Database::FieldBinding::Kind::kAbsent);
+  // Relations follow the classes in the extent index.
+  const Database::FieldBinding a =
+      db->BindField(schema_.classes().size(), "a");
+  EXPECT_EQ(a.kind, Database::FieldBinding::Kind::kStored);
+  EXPECT_EQ(a.extent, db->FindExtent("R"));
 }
 
 TEST_F(StorageTest, ScanEntityChargesEveryPageOnce) {
@@ -170,8 +189,14 @@ TEST_F(StorageTest, MethodsRegisterAndInvoke) {
     return Value::Int(d.GetRaw(oid, "k").AsInt() * 2);
   });
   db->Finalize(PhysicalConfig{});
-  EXPECT_TRUE(db->HasMethod("Owner", "doubled"));
-  EXPECT_FALSE(db->HasMethod("Owner", "k"));
+  const Database::FieldBinding doubled =
+      db->BindField(db->ExtentIndexOf(o), "doubled");
+  EXPECT_EQ(doubled.kind, Database::FieldBinding::Kind::kComputed);
+  ASSERT_NE(doubled.method, nullptr);
+  EXPECT_EQ(doubled.method_cost, 1.5);
+  EXPECT_EQ((*doubled.method)(*db, o).AsInt(), 42);
+  EXPECT_EQ(db->BindField(db->ExtentIndexOf(o), "k").kind,
+            Database::FieldBinding::Kind::kStored);
   EXPECT_EQ(db->InvokeMethod(o, "doubled").AsInt(), 42);
 }
 

@@ -138,16 +138,16 @@ TEST_F(TutorialTest, StreamingSectionWorksAsWritten) {
 }
 
 TEST_F(TutorialTest, CompiledEvalSectionWorksAsWritten) {
-  // Mirrors "Compiled expression evaluation": same rows, bit-identical
-  // accounting, and the EXPLAIN disassembly block appears with the knob on.
+  // Mirrors "Compiled expression evaluation": the batched engine's compiled
+  // run and the interpreting legacy engine give the same rows and
+  // bit-identical accounting, and EXPLAIN ends with the disassembly block.
   Session session(db_.get());
   QueryOptions ro;
   ro.cold = true;
-  ro.compiled_eval = true;
   const QueryRun compiled = session.Run(kQuery, ro);
   ASSERT_TRUE(compiled.ok()) << compiled.error();
 
-  ro.compiled_eval = false;
+  ro.legacy_exec = true;
   const QueryRun interpreted = session.Run(kQuery, ro);
   ASSERT_TRUE(interpreted.ok()) << interpreted.error();
 
@@ -160,7 +160,6 @@ TEST_F(TutorialTest, CompiledEvalSectionWorksAsWritten) {
 
   QueryOptions ex;
   ex.cold = true;
-  ex.compiled_eval = true;
   const ExplainResult report = session.Explain(kQuery, ex);
   ASSERT_TRUE(report.ok()) << report.status.ToString();
   EXPECT_NE(report.ToString().find("bytecode (compiled eval):"),

@@ -5,7 +5,7 @@
 //             [--parallel=P] [--threads=N] [--exec-threads=N]
 //             [--batch-rows=N] [--deadline-ms=N] [--memory-budget-pages=N]
 //             [--spill] [--no-spill] [--spill-budget-pages=N]
-//             [--explain] [--plan-only] [--compiled-eval] [--no-compiled-eval]
+//             [--explain] [--plan-only]
 //             [--feedback] [--no-feedback] [--feedback-drift=X]
 //             [--feedback-alpha=X] [--no-plan-cache] [--symbolic]
 //             [--trace-out=FILE] [--metrics] [--query=FILE] [--mutate=SPEC]
@@ -28,11 +28,8 @@
 // explicit 0 is rejected by the session as invalid_argument (exit 12) — 0
 // is no longer an "inherit" sentinel.
 //
-// --compiled-eval / --no-compiled-eval select bytecode-compiled vs
-// interpreted expression evaluation (see src/exec/vm/); omitted, the
-// RODIN_COMPILED_EVAL environment switch decides. Rows, counters and
-// measured cost are bit-identical either way; under --explain the compiled
-// run's report ends with the per-operator bytecode disassembly.
+// Under --explain the report ends with the per-operator bytecode
+// disassembly the executor ran (see src/exec/vm/).
 //
 // --feedback / --no-feedback switch the adaptive cost-feedback loop
 // (measured cardinalities correcting the optimizer's estimates, see
@@ -107,8 +104,6 @@ struct CliOptions {
   // session and comes back as invalid_argument (exit 12).
   std::optional<size_t> exec_threads;
   std::optional<size_t> batch_rows;
-  // Unset = RODIN_COMPILED_EVAL environment default.
-  std::optional<bool> compiled_eval;
   // Unset = RODIN_FEEDBACK environment default; 0 tuning values = inherit.
   std::optional<bool> feedback;
   double feedback_drift = 0;
@@ -390,7 +385,6 @@ void Usage() {
       "                 [--batch-rows=N] [--deadline-ms=N]\n"
       "                 [--memory-budget-pages=N] [--spill] [--no-spill]\n"
       "                 [--spill-budget-pages=N] [--explain] [--plan-only]\n"
-      "                 [--compiled-eval] [--no-compiled-eval]\n"
       "                 [--feedback] [--no-feedback] [--feedback-drift=X]\n"
       "                 [--feedback-alpha=X]\n"
       "                 [--no-plan-cache] [--symbolic] [--trace-out=FILE]\n"
@@ -479,10 +473,6 @@ int main(int argc, char** argv) {
       options.mutate_spec = value;
     } else if (ParseFlag(argv[i], "trace-out", &value)) {
       options.trace_out = value;
-    } else if (std::strcmp(argv[i], "--compiled-eval") == 0) {
-      options.compiled_eval = true;
-    } else if (std::strcmp(argv[i], "--no-compiled-eval") == 0) {
-      options.compiled_eval = false;
     } else if (std::strcmp(argv[i], "--spill") == 0) {
       options.spill = true;
     } else if (std::strcmp(argv[i], "--no-spill") == 0) {
@@ -583,7 +573,6 @@ int main(int argc, char** argv) {
   ro.collect_trace = !options.trace_out.empty();
   ro.exec_threads = options.exec_threads;
   ro.batch_rows = options.batch_rows;
-  ro.compiled_eval = options.compiled_eval;
   ro.feedback.enabled = options.feedback;
   ro.feedback.drift_threshold = options.feedback_drift;
   ro.feedback.ewma_alpha = options.feedback_alpha;
