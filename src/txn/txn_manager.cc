@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
+#include "cost/stats.h"
 #include "storage/database.h"
 
 namespace rodin {
@@ -213,6 +214,17 @@ CommitResult TxnManager::Commit(uint64_t txn_id) {
   cv_.notify_all();
   res.status = Status::Ok();
   return res;
+}
+
+std::shared_ptr<const Stats> TxnManager::CurrentStats(uint64_t* version) {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  const uint64_t v = stats_version_.load();
+  if (stats_ == nullptr || stats_at_ != v) {
+    stats_ = std::make_shared<const Stats>(Stats::Derive(*db_));
+    stats_at_ = v;
+  }
+  *version = v;
+  return stats_;
 }
 
 Status TxnManager::Rollback(uint64_t txn_id) {

@@ -3,6 +3,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -16,6 +17,7 @@
 namespace rodin {
 
 class Database;
+class Stats;
 
 /// The write-path coordinator for one Database: a single-writer,
 /// snapshot-consistent-reader transaction layer.
@@ -77,6 +79,13 @@ class TxnManager {
   uint64_t stats_version() const { return stats_version_.load(); }
   void BumpStatsVersion() { stats_version_.fetch_add(1); }
 
+  /// The statistics of the current stats version, derived by the first
+  /// caller after a bump and shared by every session over this database:
+  /// one derivation per version, however many sessions read it. Call under
+  /// a ReadGuard, so that no commit changes the data mid-derivation.
+  /// `*version` receives the version the statistics belong to.
+  std::shared_ptr<const Stats> CurrentStats(uint64_t* version);
+
   // --- Writer side ---------------------------------------------------------
 
   /// Opens the single write slot. kConflict (retryable) while another
@@ -137,6 +146,9 @@ class TxnManager {
   uint64_t active_reads_ = 0;
   std::atomic<uint64_t> live_cursors_{0};
   std::atomic<uint64_t> stats_version_{1};
+  std::mutex stats_mu_;  // guards stats_ and stats_at_
+  std::shared_ptr<const Stats> stats_;
+  uint64_t stats_at_ = 0;  // the version stats_ was derived at
   uint64_t open_txn_ = 0;  // 0 = none
   uint64_t next_txn_ = 1;
   MutationBatch staged_;

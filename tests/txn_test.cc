@@ -1,8 +1,9 @@
 // The mutation API and transaction layer: begin/stage/commit CRUD through
 // Session, provisional oid assignment, single-writer conflicts, rollback,
 // commit-time validation (referential integrity), engine-wide stats
-// versioning with lazy session refresh and plan-cache invalidation, and the
-// buffer-pool identity contract (a commit never perturbs the resident set).
+// versioning with lazy, shared statistics refresh and plan-cache
+// invalidation, and the buffer-pool identity contract (a commit never
+// perturbs the resident set).
 
 #include <gtest/gtest.h>
 
@@ -221,6 +222,24 @@ TEST_F(TxnTest, MutationsAreVisibleAcrossSessions) {
   // The pre-existing reader session picks the commit up on its next query
   // (lazy stats refresh keyed on the engine-wide version).
   EXPECT_EQ(CountByName(reader, "Crosstalk"), 1u);
+}
+
+TEST_F(TxnTest, SessionsShareOneStatsDerivationPerVersion) {
+  Session a(g_.db.get());
+  Session b(g_.db.get());
+  EXPECT_EQ(&a.stats(), &b.stats());
+  const double names = a.stats().Attr("Composer", "name").distinct;
+
+  MutationBatch batch;
+  batch.Insert("Composer", {{"name", Value::Str("Shared Stats")}});
+  ASSERT_TRUE(a.Mutate(batch).ok());
+
+  // The first session to query after the commit derives the new version's
+  // statistics; the other picks up the same object.
+  EXPECT_EQ(CountByName(b, "Shared Stats"), 1u);
+  EXPECT_EQ(b.stats().Attr("Composer", "name").distinct, names + 1);
+  EXPECT_EQ(CountByName(a, "Shared Stats"), 1u);
+  EXPECT_EQ(&a.stats(), &b.stats());
 }
 
 TEST_F(TxnTest, EngineRefreshStatsBumpsEngineWideVersion) {
