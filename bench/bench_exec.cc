@@ -1,5 +1,4 @@
-// E12 — batched morsel-parallel execution: wall-clock of the batched engine
-// vs the legacy whole-table evaluator, and a thread sweep over the batched
+// E12 — batched morsel-parallel execution: a thread sweep over the batched
 // engine's morsel workers, on the Figure 3 recursion and a selective scan.
 // E14 — compiled evaluation over bound navigation, with per-layer rows for
 // navigation, charge logging and pool replay.
@@ -158,13 +157,6 @@ void RunOnce(ExecCase& c, const ExecOptions& options, benchmark::State& state) {
       static_cast<double>(rows), benchmark::Counter::kIsRate);
 }
 
-void BM_LegacyRecursive(benchmark::State& state) {
-  ExecOptions options;
-  options.use_legacy = true;
-  RunOnce(RecursiveCase(), options, state);
-}
-BENCHMARK(BM_LegacyRecursive)->Unit(benchmark::kMillisecond)->UseRealTime();
-
 void BM_BatchedRecursive(benchmark::State& state) {
   ExecOptions options;
   options.exec_threads = static_cast<size_t>(state.range(0));
@@ -172,13 +164,6 @@ void BM_BatchedRecursive(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedRecursive)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_LegacyScanJoin(benchmark::State& state) {
-  ExecOptions options;
-  options.use_legacy = true;
-  RunOnce(ScanCase(), options, state);
-}
-BENCHMARK(BM_LegacyScanJoin)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_BatchedScanJoin(benchmark::State& state) {
   ExecOptions options;
@@ -216,8 +201,6 @@ BENCHMARK(BM_DeepPath)->Unit(benchmark::kMillisecond)->UseRealTime();
 // Each row times one layer alone over the same deterministic work — every
 // composer's `master`, once per simulated outer row — and reports the work
 // counts, so a change to one layer shows up in its own row:
-//   NavigateByName — the interpreter's step: resolve the attribute by name
-//                    per object (the legacy engine's path);
 //   NavigateBound  — the compiled step: one table load per object;
 //   ChargeLog      — recording the resulting page sequence;
 //   PoolReplay     — replaying that log into a warm buffer pool.
@@ -261,25 +244,19 @@ NavLayerCase& NavCase() {
   return *c;
 }
 
-template <bool kBound>
-void NavigateLayer(benchmark::State& state) {
+void BM_LayerNavigateBound(benchmark::State& state) {
   NavLayerCase& c = NavCase();
   CountingCharger charger;
   uint64_t evals = 0, calls = 0, cost_fp = 0;
   EvalContext ctx{c.db, &charger, &evals, &calls, &cost_fp, nullptr};
-  const std::vector<std::string> names = {"master"};
-  const BoundPath path = BindPath(*c.db, names);
+  const BoundPath path = BindPath(*c.db, {"master"});
   std::vector<Value> out;
   uint64_t steps = 0;
   for (auto _ : state) {
     for (int outer = 0; outer < NavLayerCase::kOuterRows; ++outer) {
       for (const Value& v : c.starts) {
         out.clear();
-        if constexpr (kBound) {
-          NavigateBound(&ctx, v, path, 0, &out);
-        } else {
-          Navigate(&ctx, v, names, 0, &out);
-        }
+        NavigateBound(&ctx, v, path, 0, &out);
         benchmark::DoNotOptimize(out.data());
         ++steps;
       }
@@ -292,14 +269,6 @@ void NavigateLayer(benchmark::State& state) {
       static_cast<double>(steps), benchmark::Counter::kIsRate);
 }
 
-void BM_LayerNavigateByName(benchmark::State& state) {
-  NavigateLayer<false>(state);
-}
-BENCHMARK(BM_LayerNavigateByName)->Unit(benchmark::kMicrosecond);
-
-void BM_LayerNavigateBound(benchmark::State& state) {
-  NavigateLayer<true>(state);
-}
 BENCHMARK(BM_LayerNavigateBound)->Unit(benchmark::kMicrosecond);
 
 void BM_LayerChargeLog(benchmark::State& state) {

@@ -125,8 +125,8 @@ class PlanCache {
 ///   - the optimizer-relevant knobs: seed, search_threads, gen strategy,
 ///     fold_views, naive_fixpoint and all TransformOptions fields.
 /// Lifecycle knobs (deadline / cancel / memory budget) and executor knobs
-/// (batch_rows / exec_threads / legacy) are deliberately excluded: they
-/// never change the chosen plan, only how (long) it runs.
+/// (batch_rows / exec_threads / hash_equijoin) are deliberately excluded:
+/// they never change the chosen plan, only how (long) it runs.
 ///
 /// `graph_digest` lets PreparedQuery amortize the graph rendering; pass
 /// null to derive it from `graph`.

@@ -41,7 +41,6 @@ ExecOptions QueryOptions::MakeExecOptions(const QueryContext* armed) const {
   if (batch_rows.has_value()) exec.batch_rows = *batch_rows;
   if (exec_threads.has_value()) exec.exec_threads = *exec_threads;
   exec.hash_equijoin = hash_equijoin;
-  exec.use_legacy = legacy_exec;
   exec.query = armed;
   return exec;
 }

@@ -41,11 +41,11 @@ struct FeedbackOptions {
 /// Query / PreparedQuery::*, and the server's wire requests) takes exactly
 /// this struct, and ExecOptions survives only as the *lowered* internal form
 /// that QueryOptions::MakeExecOptions derives — user code never constructs
-/// one unless it drives a raw Executor (differential oracles, benches).
+/// one unless it drives a raw Executor (tests, benches).
 ///
 /// The single inherit/override rule, uniform across every knob:
 ///
-///   - a plain field (cold, legacy_exec, ...) is taken literally;
+///   - a plain field (cold, hash_equijoin, ...) is taken literally;
 ///   - an std::optional field is an *override*: nullopt means "inherit the
 ///     session / executor / environment default", and an engaged value is
 ///     taken literally — including 0, which for `seed` is a legal seed and
@@ -95,9 +95,6 @@ struct QueryOptions {
   /// opt-in and excluded from the accounting-identity guarantee (see
   /// ExecOptions::hash_equijoin, which this lowers onto).
   bool hash_equijoin = false;
-  /// Evaluate with the pre-batching whole-table engine (differential
-  /// oracle / bench baseline).
-  bool legacy_exec = false;
   /// Skip the session's plan cache for this run: neither look up nor insert.
   /// The run optimizes from scratch exactly as a cache miss would.
   bool bypass_plan_cache = false;

@@ -682,10 +682,7 @@ ExplainResult Session::ExplainImpl(const QueryGraph& graph,
   ex.reoptimized_drift = run.reoptimized_drift;
   ex.plan = BuildExplainNode(*run.optimized.plan, exec.op_stats());
   ex.node_stats_ = FlattenPlanStats(*run.optimized.plan, exec.op_stats());
-  // Disassemble what the batched engine ran; legacy_exec interprets.
-  if (!options.legacy_exec) {
-    ex.vm_disassembly = vm::DisassemblePlan(*run.optimized.plan, *db_);
-  }
+  ex.vm_disassembly = vm::DisassemblePlan(*run.optimized.plan, *db_);
   return ex;
 }
 

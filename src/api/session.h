@@ -109,8 +109,8 @@ struct ExplainResult {
   double reoptimized_drift = 0;
 
   /// Per-operator bytecode disassembly (see src/exec/vm/), one section per
-  /// operator expression in the chosen plan. Empty under legacy_exec, which
-  /// interprets; ToString appends it after the plan tree.
+  /// operator expression in the chosen plan; ToString appends it after the
+  /// plan tree.
   std::string vm_disassembly;
 
   std::shared_ptr<const obs::Trace> trace;  // set when collect_trace

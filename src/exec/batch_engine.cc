@@ -368,7 +368,7 @@ vm::BytecodeChunk CompileProjChunk(ExecCtx* ctx,
 /// Base batched operator: pull-based Open-on-first-Next / NextBatch / (no
 /// explicit Close — destruction closes). Page charges accumulate in the
 /// per-operator `log_`; Replay() emits the whole subtree's charges in the
-/// canonical legacy order (children left-to-right, then own).
+/// canonical whole-table order (children left-to-right, then own).
 class Op {
  public:
   Op(ExecCtx* ctx, const PTNode* node) : ctx_(ctx), node_(node) {}
@@ -410,7 +410,7 @@ class Op {
 
   /// Folds this pass's profile into the engine-local stats. One call per
   /// operator instance (Fix arms are fresh instances per iteration, so the
-  /// per-iteration invocation counts match the legacy evaluator).
+  /// per-iteration invocation counts match a whole-table evaluation).
   virtual void Harvest() {
     if (!pulled_) return;
     OpStats& s = ctx_->local_stats[node_];
@@ -547,7 +547,7 @@ class DeltaScanOp : public Op {
 // --- Selections ------------------------------------------------------------
 
 /// Fused scan + filter: one pass over the extent (Figure 5's Sel(C)). The
-/// entity child is absorbed into the scan, as in the legacy evaluator.
+/// entity child is absorbed into the scan.
 class FilterScanOp : public Op {
  public:
   FilterScanOp(ExecCtx* ctx, const PTNode* node) : Op(ctx, node) {
@@ -922,8 +922,8 @@ class IndexJoinOp : public Op {
 };
 
 /// Nested-loop explicit join. A barrier: both sides materialize before
-/// probing, like the legacy evaluator (the inner must exist in full, and
-/// re-scan charges are per outer row). Probing is morsel-parallel over the
+/// probing (the inner must exist in full, and re-scan charges are per
+/// outer row). Probing is morsel-parallel over the
 /// outer side. With ExecOptions::hash_equijoin and an extractable equi
 /// conjunct, the inner is loaded into a hash table instead — same result
 /// rows in the same order, different (honest) accounting.
@@ -1112,7 +1112,7 @@ class NLJoinOp : public Op {
             const Row& lrow = left_.rows[base + i];
             if (base + i != 0) {
               // Re-scan charge for the inner, positioned before this outer
-              // row's probe work (the legacy per-outer-row order).
+              // row's probe work (the whole-table per-outer-row order).
               if (!inner_pages_.empty()) {
                 for (PageId p : inner_pages_) ec->charger->Charge(p);
               } else if (temp_.pages > 0) {
@@ -1205,11 +1205,11 @@ class UnionOp : public Op {
 
 /// Semi-naive fixpoint. A hard barrier: the whole fixpoint runs at first
 /// pull. Each iteration builds a fresh operator tree for the recursive arm
-/// (mirroring the legacy re-evaluation, including nested fix caching),
+/// (mirroring a whole-table re-evaluation, including nested fix caching),
 /// drains it with the current delta installed, harvests its stats and
 /// flattens its charges into one per-iteration log. Replay order is
 /// base subtree, then iteration 1..n arm charges, then own (cache-hit temp
-/// scan) charges — the legacy temporal order.
+/// scan) charges — the whole-table temporal order.
 class FixOp : public Op {
  public:
   FixOp(ExecCtx* ctx, const PTNode* node) : Op(ctx, node) {
@@ -1490,7 +1490,7 @@ void BatchEngine::Finalize() {
   if (impl_->finalized) return;
   impl_->finalized = true;
   ExecCtx& ctx = impl_->ctx;
-  // Canonical replay: the pool sees the exact charge sequence the legacy
+  // Canonical replay: the pool sees the exact charge sequence a whole-table
   // bottom-up evaluator would have produced, so LRU hits and misses — and
   // with them MeasuredCost() — are independent of batching and threading.
   // The per-query memory budget applies exactly here, where the pool is

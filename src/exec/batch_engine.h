@@ -30,7 +30,8 @@ class ThreadPool;
 /// CPU counters are integers (plus fixed-point method cost), so per-morsel
 /// partial sums merge to the same totals for any batch size or thread
 /// count. The result: ExecCounters, OpStats and MeasuredCost() are
-/// bit-identical to the legacy evaluator, for any configuration.
+/// bit-identical for any configuration, and equal to those of the tests'
+/// whole-table reference evaluator (tests/support/reference_exec.h).
 class BatchEngine {
  public:
   struct Config {

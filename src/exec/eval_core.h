@@ -32,11 +32,10 @@ inline double MethodCostFromFp(uint64_t fp) {
 }
 
 /// Everything expression evaluation needs: the (read-only) database, where
-/// to charge page accesses, and where to count CPU-side work. The legacy
-/// evaluator wires the pointers at the Executor's members and buffer pool;
-/// each worker morsel of the batched engine wires them at morsel-local
-/// counters and a morsel-local ChargeLog, making evaluation freely
-/// parallel — the database itself is never written.
+/// to charge page accesses, and where to count CPU-side work. Each worker
+/// morsel of the batched engine wires the pointers at morsel-local counters
+/// and a morsel-local ChargeLog, making evaluation freely parallel — the
+/// database itself is never written.
 struct EvalContext {
   const Database* db = nullptr;
   PageCharger* charger = nullptr;
@@ -44,12 +43,9 @@ struct EvalContext {
   uint64_t* method_calls = nullptr;
   uint64_t* method_cost_fp = nullptr;
   /// Register scratch for compiled (bytecode) evaluation, owned by the
-  /// enclosing morsel; null in the legacy evaluator, which interprets.
+  /// enclosing morsel.
   vm::VmScratch* vm = nullptr;
 };
-
-/// Comparison with the Value total order.
-bool CompareValues(CompareOp op, const Value& a, const Value& b);
 
 /// Expands a (possibly collection-valued) value into individual elements.
 inline void ExpandValue(const Value& v, std::vector<Value>* out) {
@@ -65,14 +61,6 @@ inline void ExpandValue(const Value& v, std::vector<Value>* out) {
 /// the path is on the left.
 bool SplitProbe(const Expr& cmp, Value* literal, bool* path_on_left);
 
-/// Navigates `path` from `start` (charging dereferences through ctx),
-/// appending every reached value to `out`. Computed attributes invoke their
-/// method and count its declared cost. Resolves each step by name per
-/// object: the interpreter's form (see BoundPath for the compiled one).
-void Navigate(EvalContext* ctx, const Value& start,
-              const std::vector<std::string>& path, size_t step,
-              std::vector<Value>* out);
-
 /// An attribute path resolved ahead of execution: for every step, the
 /// attribute bound on every extent of the database (indexed by
 /// Database::ExtentIndexOf). An object of any class — polymorphic extents
@@ -86,19 +74,13 @@ struct BoundPath {
 /// Binds `names` against every extent of `db` (finalized).
 BoundPath BindPath(const Database& db, std::vector<std::string> names);
 
-/// Navigate over a bound path: the same values, page charges (in the same
-/// order) and method counts as Navigate over `path.names`.
+/// Navigates `path` from `start` (charging dereferences through ctx),
+/// appending every reached value to `out`. Collections fan out (depth
+/// first, in element order), nulls vanish, and an atomic value with steps
+/// left matches nothing. A computed attribute invokes its method and counts
+/// its declared cost.
 void NavigateBound(EvalContext* ctx, const Value& start, const BoundPath& path,
                    size_t step, std::vector<Value>* out);
-
-/// All instantiations of `expr` on `row` (path steps through collections fan
-/// out; nulls produce nothing). Object dereferences are charged.
-std::vector<Value> EvalMulti(EvalContext* ctx, const RowSchema& schema,
-                             const Row& row, const ExprPtr& expr);
-
-/// Boolean evaluation with exists-semantics over multi-valued paths.
-bool EvalPred(EvalContext* ctx, const RowSchema& schema, const Row& row,
-              const ExprPtr& pred);
 
 /// Splits an index-join predicate: extracts the probe expression (the outer
 /// side of the Cmp(=, inner.attr, outer) conjunct matching

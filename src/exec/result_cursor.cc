@@ -1,6 +1,5 @@
 #include "exec/result_cursor.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "exec/batch_engine.h"
@@ -16,17 +15,9 @@ struct ResultCursor::Impl {
   Status status;
   std::string plan_text;
   RowSchema schema;
-  size_t batch_rows = 1024;
 
   Executor* exec = nullptr;
   std::unique_ptr<BatchEngine> engine;
-
-  /// Legacy-engine cursors serve from a pre-materialized table (the legacy
-  /// evaluator has no streaming interface; its accounting is already final
-  /// when the cursor is created).
-  Table materialized;
-  size_t mat_pos = 0;
-  bool use_materialized = false;
 
   /// Row-at-a-time view: a partially consumed batch.
   RowBatch rowbuf;
@@ -34,8 +25,8 @@ struct ResultCursor::Impl {
 
   bool finished = false;
   /// True only when the stream was pulled to genuine exhaustion (the engine
-  /// reported end-of-stream with an ok status, or the materialized table was
-  /// fully consumed) — not when the cursor was destroyed or aborted early.
+  /// reported end-of-stream with an ok status) — not when the cursor was
+  /// destroyed or aborted early.
   bool exhausted = false;
   ExecCounters counters;
   double measured_cost = -1;
@@ -108,21 +99,6 @@ bool ResultCursor::Next(RowBatch* batch) {
   Impl* im = impl_.get();
   batch->Clear();
   if (!im->status.ok()) return false;
-  if (im->use_materialized) {
-    if (im->mat_pos >= im->materialized.rows.size()) {
-      im->exhausted = true;
-      FinalizeAccounting();
-      return false;
-    }
-    const size_t take = std::min(im->batch_rows,
-                                 im->materialized.rows.size() - im->mat_pos);
-    batch->rows.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      batch->rows.push_back(std::move(im->materialized.rows[im->mat_pos + i]));
-    }
-    im->mat_pos += take;
-    return true;
-  }
   if (im->engine == nullptr || im->finished) return false;
   if (!im->engine->Next(batch)) {
     // Exhaustion and budget aborts both end the stream; the abort reason
@@ -195,31 +171,8 @@ ResultCursor Executor::ExecuteStream(const PTNode& plan, ExecOptions options) {
   ResultCursor cursor;
   ResultCursor::Impl* im = cursor.impl_.get();
   im->exec = this;
-  im->batch_rows = std::max<size_t>(1, options.batch_rows);
   im->finished = false;
-  if (options.use_legacy) {
-    im->status = ExecuteInto(plan, options, &im->materialized);
-    im->use_materialized = true;
-    im->schema = im->materialized.schema;
-    return cursor;
-  }
-  BatchEngine::Config cfg;
-  cfg.db = db_;
-  cfg.batch_rows = options.batch_rows;
-  cfg.exec_threads = options.exec_threads;
-  cfg.hash_equijoin = options.hash_equijoin;
-  cfg.pool = PoolFor(options.exec_threads);
-  cfg.fix_cache = &fix_cache_;
-  cfg.collect_op_stats = collect_op_stats_;
-  cfg.op_stats = &op_stats_;
-  cfg.counters = &counters_;
-  cfg.method_cost_fp = &method_cost_fp_;
-  cfg.query = options.query;
-  cfg.inject_faults = options.inject_faults;
-  cfg.spill_enabled = EffectiveSpillEnabled(options.query);
-  cfg.spill_budget_pages = EffectiveSpillBudgetPages(options.query);
-  cfg.spill_stats = &spill_stats_;
-  im->engine = std::make_unique<BatchEngine>(cfg, plan);
+  im->engine = MakeEngine(plan, options);
   im->schema = im->engine->schema();
   return cursor;
 }

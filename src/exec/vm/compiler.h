@@ -13,7 +13,8 @@
 namespace rodin::vm {
 
 /// Compiles `pred` into a boolean program (terminal kRetBool) evaluated
-/// against rows of `schema`, replicating EvalPred's semantics exactly:
+/// against rows of `schema`, replicating the semantics of the interpreter
+/// the tests check it against (EvalPred, tests/support/reference_exec.h):
 /// And/Or short-circuit left to right, Compare materializes both sides
 /// fully then applies exists-semantics, a bare VarPath is "any value is
 /// bool true", a bare literal is "is bool true", a bare arithmetic
@@ -22,7 +23,7 @@ namespace rodin::vm {
 ///
 /// Total over well-formed plans: every expression compiles. A variable path
 /// that no column of `schema` resolves is a planner or builder bug and
-/// aborts, as it does in the interpreter. Every returned chunk passes
+/// aborts. Every returned chunk passes
 /// Validate().
 BytecodeChunk CompilePredicate(const ExprPtr& pred, const RowSchema& schema,
                                const Database& db);

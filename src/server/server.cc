@@ -57,9 +57,6 @@ struct Server::Connection {
 
   std::string inbuf;
   bool hello_done = false;
-  /// Negotiated protocol version (min(client, kProtocolVersion), set by
-  /// HELLO). v2 features (MUTATE/COMMIT) are refused below 2.
-  uint32_t proto_version = kProtocolVersion;
 
   std::mutex write_mu;
   std::atomic<bool> open{true};
@@ -355,17 +352,16 @@ bool Server::DispatchFrame(const std::shared_ptr<Connection>& conn,
       ProtocolError(conn, header.request_id, "malformed HELLO");
       return false;
     }
-    if (version < kMinProtocolVersion) {
+    if (version != kProtocolVersion) {
       ProtocolError(conn, header.request_id,
-                    StrFormat("unsupported protocol version %u", version));
+                    StrFormat("unsupported protocol version %u (this server "
+                              "speaks only version %u)",
+                              version, kProtocolVersion));
       return false;
     }
-    // Negotiate down to what both sides speak. A v1 client gets the exact
-    // v1 HELLO_OK bytes back; a newer-than-us client is served at v2.
-    conn->proto_version = std::min(version, kProtocolVersion);
     conn->hello_done = true;
     PayloadWriter w;
-    w.U32(conn->proto_version);
+    w.U32(kProtocolVersion);
     w.Str(options_.banner);
     w.U64(conn->id);
     WriteToConnection(
@@ -445,7 +441,6 @@ bool Server::DispatchFrame(const std::shared_ptr<Connection>& conn,
       return true;
     }
     case FrameType::kMutate: {
-      if (conn->proto_version < 2) break;  // v1: unexpected frame type
       MutationBatch batch;
       if (!DecodeMutationBatch(&r, &batch) || !r.AtEnd()) {
         ProtocolError(conn, header.request_id, "malformed MUTATE");
@@ -455,7 +450,6 @@ bool Server::DispatchFrame(const std::shared_ptr<Connection>& conn,
       return true;
     }
     case FrameType::kCommit: {
-      if (conn->proto_version < 2) break;  // v1: unexpected frame type
       if (!r.AtEnd()) {
         ProtocolError(conn, header.request_id, "malformed COMMIT");
         return false;

@@ -73,9 +73,9 @@ class Server {
     /// worker's own failed write observed the disconnect first. The
     /// disconnect=>cancel guarantee is asserted through this counter.
     uint64_t disconnect_cancels = 0;
-    // Write path (protocol v2): MUTATE frames staged ok, and COMMIT
-    // outcomes split three ways — conflicts (retryable refusals: another
-    // writer or live cursors) are not failures.
+    // Write path: MUTATE frames staged ok, and COMMIT outcomes split three
+    // ways — conflicts (retryable refusals: another writer or live
+    // cursors) are not failures.
     uint64_t mutates_staged = 0;
     uint64_t commits_ok = 0;
     uint64_t commit_conflicts = 0;
@@ -130,7 +130,7 @@ class Server {
   /// Worker-side: parses a PREPARE and replies PREPARE_OK / STATUS.
   void RunPrepare(const std::shared_ptr<Connection>& conn,
                   uint64_t request_id, const std::string& text);
-  /// I/O-thread-side (v2): stage a MUTATE on the connection's transaction
+  /// I/O-thread-side: stage a MUTATE on the connection's transaction
   /// (implicit Begin on the first one) and reply STATUS inline. Resolves
   /// slot-only targets (class_id == UINT32_MAX) against the op's extent.
   void HandleMutate(const std::shared_ptr<Connection>& conn,

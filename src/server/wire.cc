@@ -42,7 +42,7 @@ constexpr uint8_t kTagStr = 4;
 // Refs and collections: rendered server-side, decoded as strings. The tag is
 // kept distinct so a client can tell "this string is a rendering".
 constexpr uint8_t kTagRendered = 5;
-// Mutation payloads only (v2+): structural ref / set encodings. Result
+// Mutation payloads only: structural ref / set encodings. Result
 // transport (ROWS) keeps rendering — these tags never appear there.
 constexpr uint8_t kTagRef = 6;
 constexpr uint8_t kTagSet = 7;
@@ -51,16 +51,14 @@ constexpr uint8_t kTagSet = 7;
 constexpr uint8_t kFlagBypassPlanCache = 1u << 0;
 // Bits 1 and 2 once carried a compiled-eval override. Compiled eval is the
 // only evaluator now: encoders leave the bits clear, decoders ignore them.
-// v3: adaptive-feedback override. Tuning flag gates a two-F64 tail (drift
-// threshold, EWMA alpha) appended after the flags byte — old payloads never
-// carry the flag, so they decode unchanged.
+// Adaptive-feedback override. The tuning flag gates a two-F64 tail (drift
+// threshold, EWMA alpha) appended after the flags byte.
 constexpr uint8_t kFlagFeedbackSet = 1u << 3;
 constexpr uint8_t kFlagFeedbackOn = 1u << 4;
 constexpr uint8_t kFlagFeedbackTuning = 1u << 5;
-// v4: spill override. Gates a tail (after the feedback tuning tail, when
-// both are present): u8 tri-state (0 = inherit, 1 = off, 2 = on) + u64
-// spill-ledger budget pages. Old payloads never carry the flag, so they
-// decode unchanged.
+// Spill override. Gates a tail (after the feedback tuning tail, when both
+// are present): u8 tri-state (0 = inherit, 1 = off, 2 = on) + u64
+// spill-ledger budget pages.
 constexpr uint8_t kFlagSpill = 1u << 6;
 constexpr uint8_t kSpillInherit = 0;
 constexpr uint8_t kSpillOff = 1;
@@ -158,29 +156,27 @@ bool PayloadReader::Str(std::string* s) {
   return true;
 }
 
-void WireQueryOptions::Encode(PayloadWriter* w, uint32_t version) const {
+void WireQueryOptions::Encode(PayloadWriter* w) const {
   w->U64(deadline_ms);
   w->U64(memory_budget_pages);
   w->U32(exec_threads);
   w->U32(batch_rows);
   uint8_t flags = 0;
   if (bypass_plan_cache) flags |= kFlagBypassPlanCache;
-  const bool tuning = feedback_drift != 0 || feedback_alpha != 0;
-  if (version >= 3) {
-    if (feedback.has_value()) {
-      flags |= kFlagFeedbackSet;
-      if (*feedback) flags |= kFlagFeedbackOn;
-    }
-    if (tuning) flags |= kFlagFeedbackTuning;
+  if (feedback.has_value()) {
+    flags |= kFlagFeedbackSet;
+    if (*feedback) flags |= kFlagFeedbackOn;
   }
+  const bool tuning = feedback_drift != 0 || feedback_alpha != 0;
+  if (tuning) flags |= kFlagFeedbackTuning;
   const bool spill_block = spill.has_value() || spill_budget_pages != 0;
-  if (version >= 4 && spill_block) flags |= kFlagSpill;
+  if (spill_block) flags |= kFlagSpill;
   w->U8(flags);
-  if (version >= 3 && tuning) {
+  if (tuning) {
     w->F64(feedback_drift);
     w->F64(feedback_alpha);
   }
-  if (version >= 4 && spill_block) {
+  if (spill_block) {
     w->U8(!spill.has_value() ? kSpillInherit
                              : (*spill ? kSpillOn : kSpillOff));
     w->U64(spill_budget_pages);

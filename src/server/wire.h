@@ -13,7 +13,7 @@
 
 namespace rodin::server {
 
-/// rodin_serve's wire protocol, v3 (full spec: docs/SERVER.md).
+/// rodin_serve's wire protocol, v4 (full spec: docs/SERVER.md).
 ///
 /// Every message is one length-prefixed frame:
 ///
@@ -30,22 +30,10 @@ namespace rodin::server {
 /// terminal STATUS (wire code 0 = ok). Errors at any point short-circuit to
 /// the STATUS frame. HELLO/PREPARE get HELLO_OK/PREPARE_OK or STATUS.
 ///
-/// Version negotiation: the client's HELLO carries the highest version it
-/// speaks; the server replies with min(client, kProtocolVersion) and both
-/// sides speak that. v1 clients therefore connect to a v2+ server and see
-/// byte-identical v1 behaviour; the v2 additions (MUTATE/COMMIT and the
-/// structural kTagRef/kTagSet value tags inside their payloads) are only
-/// legal on a connection that negotiated >= 2 — on a v1 connection they are
-/// an unexpected frame type, answered with an error STATUS. The v3 addition
-/// is the feedback option block inside WireQueryOptions (three new flag
-/// bits plus an optional tuning tail); a v3 client encodes it only on a
-/// connection that negotiated >= 3, so older servers never see the bits.
-/// The v4 addition is the spill option block inside WireQueryOptions (one
-/// flag bit gating a tri-state byte + ledger-budget tail), following the
-/// same rule: encoded only on a connection that negotiated >= 4.
+/// Versioning: the client's HELLO carries kProtocolVersion and the server
+/// accepts exactly that version. Any other version is refused with a STATUS
+/// frame and the connection is closed; there is no negotiation.
 constexpr uint32_t kProtocolVersion = 4;
-/// Oldest client version the server still accepts.
-constexpr uint32_t kMinProtocolVersion = 1;
 
 /// Upper bound on a single frame's payload; a length prefix beyond this is
 /// a protocol error and the connection is dropped (a corrupt or hostile
@@ -88,12 +76,12 @@ enum class FrameType : uint8_t {
   /// c->s: clean shutdown; the server closes after any in-flight request
   /// finishes. Payload: empty.
   kGoodbye = 11,
-  /// c->s (v2+): stage a mutation batch on this connection's transaction
+  /// c->s: stage a mutation batch on this connection's transaction
   /// (opened implicitly on the first MUTATE). Payload: EncodeMutationBatch.
   /// Reply: STATUS — ok with rows_produced = ops staged, or kConflict
   /// (retryable) when another connection holds the write slot.
   kMutate = 12,
-  /// c->s (v2+): commit this connection's transaction. Payload: empty.
+  /// c->s: commit this connection's transaction. Payload: empty.
   /// Reply: STATUS — ok with detail = new stats version and rows_produced =
   /// ops applied, kConflict (retryable; transaction stays open) while
   /// streaming cursors are live, or the validation error that rolled the
@@ -166,32 +154,29 @@ class PayloadReader {
 /// cannot be sent — it would be rejected server-side anyway). Deliberately
 /// absent: cold (a single-tenant measurement knob; the server is always
 /// warm), collect_trace/explain_only (not meaningful over this protocol),
-/// legacy_exec and seed (operator-side knobs, fixed by server config).
+/// and seed (an operator-side knob, fixed by server config).
 struct WireQueryOptions {
   uint64_t deadline_ms = 0;          // 0 = no deadline
   uint64_t memory_budget_pages = 0;  // 0 = unlimited
   uint32_t exec_threads = 0;         // 0 = inherit executor default
   uint32_t batch_rows = 0;           // 0 = inherit executor default
   bool bypass_plan_cache = false;
-  /// Tri-state adaptive-feedback override (v3+; nullopt = inherit the
-  /// server's RODIN_FEEDBACK default). The tuning knobs follow the facade's
-  /// inherit rule: 0 = server default (kDefaultDriftThreshold /
+  /// Tri-state adaptive-feedback override (nullopt = inherit the server's
+  /// RODIN_FEEDBACK default). The tuning knobs follow the facade's inherit
+  /// rule: 0 = server default (kDefaultDriftThreshold /
   /// kDefaultFeedbackAlpha). Encoded as flag bits + an optional two-F64
-  /// tail; Encode omits all of it when the negotiated version is < 3.
+  /// tail.
   std::optional<bool> feedback;
   double feedback_drift = 0;
   double feedback_alpha = 0;
-  /// Tri-state spill override (v4+; nullopt = inherit the server's
-  /// RODIN_SPILL default) and the temp-ledger budget override (0 =
-  /// inherit; see QueryContext::spill_budget_pages). Encoded as one flag
-  /// bit gating a u8 tri-state + u64 budget tail; Encode omits the block
-  /// when the negotiated version is < 4.
+  /// Tri-state spill override (nullopt = inherit the server's RODIN_SPILL
+  /// default) and the temp-ledger budget override (0 = inherit; see
+  /// QueryContext::spill_budget_pages). Encoded as one flag bit gating a u8
+  /// tri-state + u64 budget tail.
   std::optional<bool> spill;
   uint64_t spill_budget_pages = 0;
 
-  /// `version` is the connection's negotiated protocol version: v3 fields
-  /// are silently dropped when encoding for an older peer.
-  void Encode(PayloadWriter* w, uint32_t version = kProtocolVersion) const;
+  void Encode(PayloadWriter* w) const;
   bool Decode(PayloadReader* r);
 
   /// Lowers onto the facade. The returned options carry a fresh
@@ -208,7 +193,7 @@ struct WireQueryOptions {
 void EncodeValue(const Value& value, PayloadWriter* w);
 bool DecodeValue(PayloadReader* r, Value* out);
 
-/// Mutation-batch serialization for MUTATE frames (v2+):
+/// Mutation-batch serialization for MUTATE frames:
 ///
 ///   u32 nops, then per op:
 ///     u8 kind (MutationOpKind)

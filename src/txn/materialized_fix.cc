@@ -1,6 +1,5 @@
 #include "txn/materialized_fix.h"
 
-#include <cstdlib>
 #include <deque>
 
 #include "common/check.h"
@@ -404,13 +403,6 @@ FixMaintenance MaterializedFix::ApplyDelta(
   rep.pairs_added = num_pairs_ > before ? num_pairs_ - before : 0;
   rep.pairs_removed = before > num_pairs_ ? before - num_pairs_ : 0;
   return rep;
-}
-
-MaterializedFixRegistry::MaterializedFixRegistry() {
-  const char* env = std::getenv("RODIN_INCREMENTAL_FIX");
-  if (env != nullptr && std::string(env) == "0") {
-    policy_ = FixMaintenancePolicy::kRecompute;
-  }
 }
 
 Status MaterializedFixRegistry::Register(const MaterializedFixSpec& spec,

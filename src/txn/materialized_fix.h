@@ -118,9 +118,9 @@ class MaterializedFix {
   bool exact_ = true;
 };
 
-/// How the registry maintains views at commit. The default comes from the
-/// RODIN_INCREMENTAL_FIX env var ("0" => kRecompute); tests flip it
-/// programmatically to run the differential oracle.
+/// How the registry maintains views at commit. kIncremental is the default;
+/// TxnManager::SetFixPolicy selects kRecompute, the differential oracle of
+/// the tests and bench_mutate.
 enum class FixMaintenancePolicy { kIncremental, kRecompute };
 
 /// The commit-time registry: TxnManager calls PrepareDeltas before
@@ -129,8 +129,6 @@ enum class FixMaintenancePolicy { kIncremental, kRecompute };
 /// calls happen under the TxnManager commit gate or registration mutex.
 class MaterializedFixRegistry {
  public:
-  MaterializedFixRegistry();
-
   /// Validates the spec against the schema, builds the initial closure.
   /// kInvalidArgument on unknown extent/attr or duplicate name.
   Status Register(const MaterializedFixSpec& spec, const Database& db);

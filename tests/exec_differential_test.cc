@@ -1,9 +1,10 @@
 // Differential test for the batched morsel-parallel engine: for any batch
 // size and thread count, the executor must produce the *same rows in the
-// same order* as the legacy whole-table evaluator, with bit-identical
-// accounting — every ExecCounters field, the buffer pool's fetch/hit/miss
-// totals, and MeasuredCost(). The batched engine defers page charges into
-// per-operator logs and replays them in the legacy evaluation order, so
+// same order* as the reference whole-table evaluator
+// (tests/support/reference_exec.h), with bit-identical accounting — every
+// ExecCounters field, the buffer pool's fetch/hit/miss totals, and
+// MeasuredCost(). The batched engine defers page charges into per-operator
+// logs and replays them in the reference's evaluation order, so
 // "identical" here is exact equality, not a tolerance.
 //
 // Queries cover the paper's Figure 3 recursion plus randomized SPJ and
@@ -25,79 +26,15 @@
 #include "exec/executor.h"
 #include "optimizer/baseline.h"
 #include "optimizer/optimizer.h"
-#include "query/builder.h"
 #include "query/graph_queries.h"
 #include "query/paper_queries.h"
 #include "query/query_graph.h"
+#include "support/random_queries.h"
+#include "support/reference_exec.h"
 #include "test_seed.h"
 
 namespace rodin {
 namespace {
-
-/// Everything one execution produces, packaged for exact comparison.
-struct ExecFingerprint {
-  std::vector<std::string> rows;  // in emission order
-  ExecCounters counters;
-  uint64_t fetches = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  double measured_cost = 0;
-};
-
-ExecFingerprint RunConfig(Database* db, const PTNode& plan,
-                          const ExecOptions& options) {
-  Executor exec(db);
-  exec.ResetMeasurement(/*clear_buffer=*/true);  // cold: deterministic pool
-  Table t = exec.Execute(plan, options);
-
-  ExecFingerprint fp;
-  fp.rows.reserve(t.rows.size());
-  for (const Row& row : t.rows) {
-    std::string key;
-    for (const Value& v : row) key += v.ToString() + "|";
-    fp.rows.push_back(std::move(key));
-  }
-  fp.counters = exec.counters();
-  const BufferPool::Stats& s = db->buffer_pool().stats();
-  fp.fetches = s.fetches;
-  fp.hits = s.hits;
-  fp.misses = s.misses;
-  fp.measured_cost = exec.MeasuredCost();
-  return fp;
-}
-
-/// Runs `plan` under the legacy oracle and under every batched
-/// configuration, asserting exact equality of rows, counters and cost.
-void ExpectAllConfigsIdentical(Database* db, const PTNode& plan,
-                               const std::string& label) {
-  ExecOptions legacy;
-  legacy.use_legacy = true;
-  const ExecFingerprint want = RunConfig(db, plan, legacy);
-
-  const size_t kBatchSizes[] = {1, 7, 1024};
-  const size_t kThreadCounts[] = {1, 4};
-  for (size_t batch : kBatchSizes) {
-    for (size_t threads : kThreadCounts) {
-      SCOPED_TRACE(label + " batch_rows=" + std::to_string(batch) +
-                   " exec_threads=" + std::to_string(threads));
-      ExecOptions options;
-      options.batch_rows = batch;
-      options.exec_threads = threads;
-      const ExecFingerprint got = RunConfig(db, plan, options);
-
-      ASSERT_EQ(got.rows, want.rows);
-      EXPECT_EQ(got.counters.predicate_evals, want.counters.predicate_evals);
-      EXPECT_EQ(got.counters.method_calls, want.counters.method_calls);
-      EXPECT_EQ(got.counters.method_cost, want.counters.method_cost);
-      EXPECT_EQ(got.counters.rows_produced, want.counters.rows_produced);
-      EXPECT_EQ(got.counters.fix_iterations, want.counters.fix_iterations);
-      EXPECT_EQ(got.fetches, want.fetches);
-      EXPECT_EQ(got.hits, want.hits);
-      EXPECT_EQ(got.misses, want.misses);
-      EXPECT_EQ(got.measured_cost, want.measured_cost);  // bitwise, no ULP
-    }
-  }
-}
 
 void OptimizeAndCompare(Database* db, const Stats& stats, const CostModel& cost,
                         const QueryGraph& q, uint64_t seed,
@@ -105,7 +42,7 @@ void OptimizeAndCompare(Database* db, const Stats& stats, const CostModel& cost,
   Optimizer optimizer(db, &stats, &cost, CostBasedOptions(seed));
   OptimizeResult plan = optimizer.Optimize(q);
   ASSERT_TRUE(plan.ok()) << plan.status.ToString() << "\n" << q.ToString();
-  ExpectAllConfigsIdentical(db, *plan.plan, label);
+  ExpectEngineMatchesReference(db, *plan.plan, label);
 }
 
 // --- Figure 3: the paper's running example ---------------------------------
@@ -122,91 +59,6 @@ TEST(ExecDifferentialTest, Fig3Harpsichord) {
 }
 
 // --- Randomized queries over randomized databases --------------------------
-
-QueryGraph RandomSpjQuery(Rng* rng, const Schema& schema) {
-  QueryGraphBuilder b;
-  NodeBuilder& node = b.Node("Answer");
-  const int arcs = 1 + static_cast<int>(rng->Below(3));
-  std::vector<std::string> vars;
-  for (int i = 0; i < arcs; ++i) {
-    const std::string var = "x" + std::to_string(i);
-    node.Input("Composer", var);
-    vars.push_back(var);
-    if (i > 0) {
-      node.Where(Expr::Eq(Expr::Path(vars[i - 1], {"master"}),
-                          rng->Chance(0.5) ? Expr::Path(var, {"master"})
-                                           : Expr::Path(var, {})));
-    }
-  }
-  const int sels = 1 + static_cast<int>(rng->Below(3));
-  for (int i = 0; i < sels; ++i) {
-    const std::string& var = vars[rng->Below(vars.size())];
-    switch (rng->Below(4)) {
-      case 0:
-        node.Where(Expr::Cmp(rng->Chance(0.5) ? CompareOp::kGe : CompareOp::kLt,
-                             Expr::Path(var, {"birthyear"}),
-                             Expr::Lit(Value::Int(rng->Range(1620, 1720)))));
-        break;
-      case 1:
-        node.Where(Expr::Eq(
-            Expr::Path(var, {"works", "instruments", "family"}),
-            Expr::Lit(Value::Str(rng->Chance(0.5) ? "keyboard" : "string"))));
-        break;
-      case 2:
-        node.Where(Expr::Eq(
-            Expr::Path(var, {"master", "name"}),
-            Expr::Lit(Value::Str("composer_" + std::to_string(rng->Below(8))))));
-        break;
-      default: {
-        static const char* kInstr[] = {"harpsichord", "flute", "violin",
-                                       "organ"};
-        node.Where(Expr::Eq(
-            Expr::Path(var, {"works", "instruments", "iname"}),
-            Expr::Lit(Value::Str(kInstr[rng->Below(4)]))));
-        break;
-      }
-    }
-  }
-  node.OutPath("n", vars[0], {"name"});
-  if (rng->Chance(0.5)) node.OutPath("y", vars[0], {"birthyear"});
-  return b.Build(schema);
-}
-
-QueryGraph RandomRecursiveQuery(Rng* rng, const Schema& schema) {
-  QueryGraphBuilder b;
-  b.Node("Influencer", "P1")
-      .Input("Composer", "x")
-      .OutPath("master", "x", {"master"})
-      .OutPath("disciple", "x")
-      .Out("gen", Expr::Lit(Value::Int(1)));
-  b.Node("Influencer", "P2")
-      .Input("Influencer", "i")
-      .Input("Composer", "x")
-      .Where(Expr::Eq(Expr::Path("i", {"disciple"}), Expr::Path("x", {"master"})))
-      .OutPath("master", "i", {"master"})
-      .OutPath("disciple", "x")
-      .Out("gen", Expr::Arith(ArithOp::kAdd, Expr::Path("i", {"gen"}),
-                              Expr::Lit(Value::Int(1))));
-
-  NodeBuilder& answer = b.Node("Answer", "P3");
-  answer.Input("Influencer", "j");
-  if (rng->Chance(0.7)) {
-    answer.Where(Expr::Cmp(CompareOp::kGe, Expr::Path("j", {"gen"}),
-                           Expr::Lit(Value::Int(rng->Range(2, 6)))));
-  }
-  if (rng->Chance(0.5)) {
-    static const char* kInstr[] = {"harpsichord", "flute", "violin", "organ"};
-    answer.Where(
-        Expr::Eq(Expr::Path("j", {"master", "works", "instruments", "iname"}),
-                 Expr::Lit(Value::Str(kInstr[rng->Below(4)]))));
-  } else {
-    answer.Where(Expr::Cmp(CompareOp::kLt,
-                           Expr::Path("j", {"master", "birthyear"}),
-                           Expr::Lit(Value::Int(rng->Range(1620, 1720)))));
-  }
-  answer.OutPath("n", "j", {"disciple", "name"});
-  return b.Build(schema);
-}
 
 class ExecDifferentialSeedTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -266,7 +118,7 @@ TEST_P(ExecDifferentialSeedTest, GraphClosure) {
 }
 
 // 5 seeds x (3 SPJ + 2 recursive) + 5 graph closures = 30 random queries,
-// each compared across 6 batched configurations against the legacy oracle.
+// each compared across 6 batched configurations against the reference.
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecDifferentialSeedTest,
                          ::testing::Range<uint64_t>(1, 6),
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
@@ -286,13 +138,14 @@ TEST(ExecDifferentialTest, HashEquiJoinSameRows) {
   OptimizeResult plan = optimizer.Optimize(Fig3Query(*g.schema));
   ASSERT_TRUE(plan.ok()) << plan.status.ToString();
 
-  ExecOptions nl;
-  const ExecFingerprint want = RunConfig(g.db.get(), *plan.plan, nl);
+  const ExecFingerprint want =
+      EngineFingerprint(g.db.get(), *plan.plan, ExecOptions{});
   for (size_t threads : {size_t{1}, size_t{4}}) {
     ExecOptions hashed;
     hashed.hash_equijoin = true;
     hashed.exec_threads = threads;
-    const ExecFingerprint got = RunConfig(g.db.get(), *plan.plan, hashed);
+    const ExecFingerprint got =
+        EngineFingerprint(g.db.get(), *plan.plan, hashed);
     // Same rows in the same order; accounting is allowed to differ (fewer
     // predicate evaluations, no per-outer-row re-scan charges).
     ASSERT_EQ(got.rows, want.rows) << "threads=" << threads;

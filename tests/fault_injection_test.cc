@@ -15,6 +15,7 @@
 #include "api/session.h"
 #include "common/faults.h"
 #include "datagen/music_gen.h"
+#include "support/reference_exec.h"
 
 namespace rodin {
 namespace {
@@ -116,20 +117,14 @@ TEST_F(FaultInjectionTest, RetriedPageFetchFaultIsBitIdenticalToCleanRun) {
   EXPECT_EQ(retried.measured_cost, clean.measured_cost);
 }
 
-TEST_F(FaultInjectionTest, RetriedFaultUnderCompiledEvalIsBitIdenticalToCleanRun) {
-  // Same headline guarantee against the interpreting oracle: the faulted
+TEST_F(FaultInjectionTest, RetriedFaultMatchesTheReferenceEvaluator) {
+  // Same headline guarantee against the interpreting reference: the faulted
   // attempt's partial work is discarded and the surviving compiled retry
-  // matches a clean run of the legacy engine (interpreted expressions,
-  // by-name navigation) bit for bit — the retry path reuses the same chunks
-  // and the same deferred-charge replay, so nothing about the evaluator may
-  // leak into the accounting.
-  Session session(g_.db.get());
-  QueryOptions interp;
-  interp.cold = true;
-  interp.legacy_exec = true;
-  const QueryRun clean = session.Run(kFig3Text, interp);
-  ASSERT_TRUE(clean.ok()) << clean.error();
-
+  // matches a cold run of the reference evaluator (interpreted
+  // expressions, by-name navigation) on the plan the session chose, bit
+  // for bit — the retry path reuses the same chunks and the same
+  // deferred-charge replay, so nothing about the evaluator may leak into
+  // the accounting.
   FaultConfig fc;
   fc.enabled = true;
   fc.page_fetch_fail = 1.0;
@@ -137,15 +132,19 @@ TEST_F(FaultInjectionTest, RetriedFaultUnderCompiledEvalIsBitIdenticalToCleanRun
   fc.max_faults = 1;
   FaultInjector::Global().Configure(fc);
 
-  QueryOptions compiled = interp;
-  compiled.legacy_exec = false;
-  const QueryRun retried = session.Run(kFig3Text, compiled);
+  Session session(g_.db.get());
+  QueryOptions options;
+  options.cold = true;
+  const QueryRun retried = session.Run(kFig3Text, options);
   ASSERT_TRUE(retried.ok()) << retried.status.ToString();
   EXPECT_EQ(FaultInjector::Global().faults_injected(), 1u);
-  EXPECT_EQ(retried.plan_text, clean.plan_text);
-  EXPECT_EQ(Keys(retried.answer), Keys(clean.answer));
-  ExpectSameCounters(retried.counters, clean.counters);
-  EXPECT_EQ(retried.measured_cost, clean.measured_cost);
+
+  ReferenceExecutor reference(g_.db.get());
+  reference.ResetMeasurement(/*clear_buffer=*/true);
+  const Table want = reference.Execute(*retried.optimized.plan);
+  EXPECT_EQ(Keys(retried.answer), Keys(want));
+  ExpectSameCounters(retried.counters, reference.counters());
+  EXPECT_EQ(retried.measured_cost, reference.MeasuredCost());
 }
 
 TEST_F(FaultInjectionTest, RetriedAllocFaultUnderCompiledEvalIsBitIdentical) {

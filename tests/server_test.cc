@@ -16,6 +16,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -168,118 +169,57 @@ TEST(WireCodecTest, QueryOptionsRoundTripPreservesInheritRule) {
   EXPECT_EQ(decoded2.query.spill_budget_pages, 0u);
 }
 
-TEST(WireCodecTest, SpillOptionsRoundTripOnV4AndDropOnV3) {
+TEST(WireCodecTest, EveryQueryOptionRoundTrips) {
   QueryOptions original;
-  original.query.spill = true;
-  original.query.spill_budget_pages = 4096;
-
-  // v4 (the default): tri-state and ledger budget round-trip exactly.
-  PayloadWriter w;
-  WireQueryOptions::FromQueryOptions(original).Encode(&w);
-  const std::string payload = w.data();
-  PayloadReader r(payload.data(), payload.size());
-  WireQueryOptions wire;
-  ASSERT_TRUE(wire.Decode(&r));
-  EXPECT_TRUE(r.AtEnd());
-  const QueryOptions decoded = wire.ToQueryOptions();
-  ASSERT_TRUE(decoded.query.spill.has_value());
-  EXPECT_TRUE(*decoded.query.spill);
-  EXPECT_EQ(decoded.query.spill_budget_pages, 4096u);
-
-  // Explicit "off" is distinct from "inherit", and a budget-only block
-  // (no tri-state) keeps the tri-state as inherit.
-  QueryOptions off;
-  off.query.spill = false;
-  PayloadWriter woff;
-  WireQueryOptions::FromQueryOptions(off).Encode(&woff);
-  const std::string poff = woff.data();
-  PayloadReader roff(poff.data(), poff.size());
-  WireQueryOptions wireoff;
-  ASSERT_TRUE(wireoff.Decode(&roff));
-  EXPECT_TRUE(roff.AtEnd());
-  ASSERT_TRUE(wireoff.spill.has_value());
-  EXPECT_FALSE(*wireoff.spill);
-  EXPECT_EQ(wireoff.spill_budget_pages, 0u);
-
-  QueryOptions budget_only;
-  budget_only.query.spill_budget_pages = 7;
-  PayloadWriter wb;
-  WireQueryOptions::FromQueryOptions(budget_only).Encode(&wb);
-  const std::string pb = wb.data();
-  PayloadReader rb(pb.data(), pb.size());
-  WireQueryOptions wireb;
-  ASSERT_TRUE(wireb.Decode(&rb));
-  EXPECT_TRUE(rb.AtEnd());
-  EXPECT_FALSE(wireb.spill.has_value());
-  EXPECT_EQ(wireb.spill_budget_pages, 7u);
-
-  // Encoding for a v3 peer drops the v4 block entirely: the payload is
-  // byte-identical to one from a client that never heard of spilling.
-  PayloadWriter w3;
-  WireQueryOptions::FromQueryOptions(original).Encode(&w3, /*version=*/3);
-  PayloadWriter w3plain;
-  WireQueryOptions::FromQueryOptions(QueryOptions{}).Encode(&w3plain,
-                                                            /*version=*/3);
-  EXPECT_EQ(w3.data(), w3plain.data());
-  const std::string p3 = w3.data();
-  PayloadReader r3(p3.data(), p3.size());
-  WireQueryOptions wire3;
-  ASSERT_TRUE(wire3.Decode(&r3));
-  EXPECT_TRUE(r3.AtEnd());
-  EXPECT_FALSE(wire3.spill.has_value());
-  EXPECT_EQ(wire3.spill_budget_pages, 0u);
-}
-
-TEST(WireCodecTest, FeedbackOptionsRoundTripOnV3AndDropOnV2) {
-  QueryOptions original;
+  original.query.deadline_ms = 250;
+  original.query.memory_budget_pages = 1000;
+  original.exec_threads = 4;
+  original.batch_rows = 7;
+  original.bypass_plan_cache = true;
   original.feedback.enabled = true;
   original.feedback.drift_threshold = 2.5;
   original.feedback.ewma_alpha = 0.25;
+  original.query.spill = true;
+  original.query.spill_budget_pages = 4096;
 
-  // v3 (the default): tri-state and tuning tail round-trip exactly.
-  PayloadWriter w;
-  WireQueryOptions::FromQueryOptions(original).Encode(&w);
-  const std::string payload = w.data();
-  PayloadReader r(payload.data(), payload.size());
-  WireQueryOptions wire;
-  ASSERT_TRUE(wire.Decode(&r));
-  EXPECT_TRUE(r.AtEnd());
-  const QueryOptions decoded = wire.ToQueryOptions();
-  ASSERT_TRUE(decoded.feedback.enabled.has_value());
-  EXPECT_TRUE(*decoded.feedback.enabled);
+  auto round_trip = [](const QueryOptions& options) {
+    PayloadWriter w;
+    WireQueryOptions::FromQueryOptions(options).Encode(&w);
+    const std::string payload = w.data();
+    PayloadReader r(payload.data(), payload.size());
+    WireQueryOptions wire;
+    EXPECT_TRUE(wire.Decode(&r));
+    EXPECT_TRUE(r.AtEnd());
+    return wire.ToQueryOptions();
+  };
+
+  const QueryOptions decoded = round_trip(original);
+  EXPECT_EQ(decoded.query.deadline_ms, 250u);
+  EXPECT_EQ(decoded.query.memory_budget_pages, 1000u);
+  EXPECT_EQ(decoded.exec_threads, std::optional<size_t>(4));
+  EXPECT_EQ(decoded.batch_rows, std::optional<size_t>(7));
+  EXPECT_TRUE(decoded.bypass_plan_cache);
+  EXPECT_EQ(decoded.feedback.enabled, std::optional<bool>(true));
   EXPECT_EQ(decoded.feedback.drift_threshold, 2.5);
   EXPECT_EQ(decoded.feedback.ewma_alpha, 0.25);
+  EXPECT_EQ(decoded.query.spill, std::optional<bool>(true));
+  EXPECT_EQ(decoded.query.spill_budget_pages, 4096u);
 
-  // Explicit "off" is distinct from "inherit".
+  // An explicit "off" is distinct from "inherit" for both tri-states, and a
+  // budget-only spill block keeps the spill tri-state as inherit.
   QueryOptions off;
   off.feedback.enabled = false;
-  PayloadWriter woff;
-  WireQueryOptions::FromQueryOptions(off).Encode(&woff);
-  const std::string poff = woff.data();
-  PayloadReader roff(poff.data(), poff.size());
-  WireQueryOptions wireoff;
-  ASSERT_TRUE(wireoff.Decode(&roff));
-  EXPECT_TRUE(roff.AtEnd());
-  ASSERT_TRUE(wireoff.feedback.has_value());
-  EXPECT_FALSE(*wireoff.feedback);
+  off.query.spill = false;
+  const QueryOptions decoded_off = round_trip(off);
+  EXPECT_EQ(decoded_off.feedback.enabled, std::optional<bool>(false));
+  EXPECT_EQ(decoded_off.query.spill, std::optional<bool>(false));
+  EXPECT_EQ(decoded_off.query.spill_budget_pages, 0u);
 
-  // Encoding for a v2 peer drops the v3 fields entirely: the payload is
-  // byte-identical to one from a client that never heard of feedback, so
-  // old servers decode it unchanged.
-  PayloadWriter w2;
-  WireQueryOptions::FromQueryOptions(original).Encode(&w2, /*version=*/2);
-  PayloadWriter w2plain;
-  WireQueryOptions::FromQueryOptions(QueryOptions{}).Encode(&w2plain,
-                                                           /*version=*/2);
-  EXPECT_EQ(w2.data(), w2plain.data());
-  const std::string p2 = w2.data();
-  PayloadReader r2(p2.data(), p2.size());
-  WireQueryOptions wire2;
-  ASSERT_TRUE(wire2.Decode(&r2));
-  EXPECT_TRUE(r2.AtEnd());
-  EXPECT_FALSE(wire2.feedback.has_value());
-  EXPECT_EQ(wire2.feedback_drift, 0.0);
-  EXPECT_EQ(wire2.feedback_alpha, 0.0);
+  QueryOptions budget_only;
+  budget_only.query.spill_budget_pages = 7;
+  const QueryOptions decoded_budget = round_trip(budget_only);
+  EXPECT_FALSE(decoded_budget.query.spill.has_value());
+  EXPECT_EQ(decoded_budget.query.spill_budget_pages, 7u);
 }
 
 TEST(WireCodecTest, ValuesRoundTrip) {
@@ -902,12 +842,11 @@ TEST_F(ServerTest, RawProtocolRefusesPipelinedMutateWhileBusy) {
   EXPECT_EQ(server_->stats().mutates_staged, 0u);
 }
 
-// --------------------------------------------------- protocol v2 writes --
+// ---------------------------------------------------------- wire writes --
 
 TEST_F(ServerTest, MutateCommitRoundTripAndVisibility) {
   StartServer(200, 2, 4);
   Client client = Connected();
-  ASSERT_EQ(client.protocol_version(), kProtocolVersion);
 
   // One batch: a fresh composer plus a slot-only rename of Composer@0 (the
   // client never learns server-side class ids — class_id 0xFFFFFFFF means
@@ -928,7 +867,7 @@ TEST_F(ServerTest, MutateCommitRoundTripAndVisibility) {
   EXPECT_EQ(applied, 2u);
   EXPECT_GE(stats_version, 2u);
 
-  // Both effects are visible to a plain v2 QUERY on the same engine.
+  // Both effects are visible to a plain QUERY on the same engine.
   ClientResult inserted = client.Query(
       R"(select [n: x.name] from x in Composer where x.name = "wire_composer")");
   ASSERT_TRUE(inserted.ok()) << inserted.status.ToString();
@@ -977,68 +916,34 @@ TEST_F(ServerTest, MutateConflictAcrossConnectionsIsRetryable) {
   rival.Goodbye();
 }
 
-// A v1 client must be served exactly as before this protocol existed: the
-// HELLO_OK negotiates down to 1, queries work, and the new frame types are
-// a protocol error on its connection.
-TEST_F(ServerTest, RawProtocolV1ClientNegotiatesDownAndCannotMutate) {
+// The server speaks exactly kProtocolVersion: an older or newer HELLO is
+// refused with a typed STATUS and the connection is closed.
+TEST_F(ServerTest, RawProtocolRefusesOtherHelloVersions) {
   StartServer(200, 2, 4);
-  RawConnection raw;
-  ASSERT_TRUE(raw.Connect(server_->port()));
-  PayloadWriter hello;
-  hello.U32(1);  // a pre-write-path client
-  ASSERT_TRUE(raw.Send(EncodeFrame(FrameType::kHello, 1, hello.Take())));
-  FrameHeader header;
-  std::string payload;
-  ASSERT_TRUE(raw.ReadFrame(&header, &payload));
-  ASSERT_EQ(header.type, FrameType::kHelloOk);
-  {
-    PayloadReader r(payload.data(), payload.size());
-    uint32_t negotiated = 0;
-    std::string banner;
-    uint64_t conn_id = 0;
-    ASSERT_TRUE(r.U32(&negotiated));
-    ASSERT_TRUE(r.Str(&banner));
-    ASSERT_TRUE(r.U64(&conn_id));
-    ASSERT_TRUE(r.AtEnd());  // no v2-only fields leak into a v1 HELLO_OK
-    EXPECT_EQ(negotiated, 1u);
-    EXPECT_NE(conn_id, 0u);
-  }
-
-  // The read path is unchanged for this client.
-  PayloadWriter q;
-  q.Str(kSimpleQuery);
-  WireQueryOptions().Encode(&q);
-  ASSERT_TRUE(raw.Send(EncodeFrame(FrameType::kQuery, 2, q.Take())));
-  bool query_ok = false;
-  while (raw.ReadFrame(&header, &payload)) {
-    if (header.type != FrameType::kStatus) continue;
-    PayloadReader r(payload.data(), payload.size());
-    Status status;
-    uint64_t rows;
-    double cost;
-    ASSERT_TRUE(DecodeStatusPayload(&r, &status, &rows, &cost));
-    EXPECT_TRUE(status.ok()) << status.ToString();
-    query_ok = status.ok();
-    break;
-  }
-  ASSERT_TRUE(query_ok);
-
-  // MUTATE on a v1 connection is an unexpected frame type: refused with a
-  // STATUS and the connection dropped, exactly like any other stray frame.
-  ASSERT_TRUE(raw.Send(EncodeFrame(FrameType::kMutate, 3, "")));
-  ASSERT_TRUE(raw.ReadFrame(&header, &payload));
-  EXPECT_EQ(header.type, FrameType::kStatus);
-  {
+  for (const uint32_t version : {kProtocolVersion - 1, kProtocolVersion + 1}) {
+    SCOPED_TRACE("HELLO " + std::to_string(version));
+    RawConnection raw;
+    ASSERT_TRUE(raw.Connect(server_->port()));
+    PayloadWriter hello;
+    hello.U32(version);
+    ASSERT_TRUE(raw.Send(EncodeFrame(FrameType::kHello, 1, hello.Take())));
+    FrameHeader header;
+    std::string payload;
+    ASSERT_TRUE(raw.ReadFrame(&header, &payload));
+    ASSERT_EQ(header.type, FrameType::kStatus);
     PayloadReader r(payload.data(), payload.size());
     Status status;
     uint64_t rows;
     double cost;
     ASSERT_TRUE(DecodeStatusPayload(&r, &status, &rows, &cost));
     EXPECT_EQ(status.code, Status::Code::kInvalidArgument);
+    EXPECT_NE(status.message.find("unsupported protocol version"),
+              std::string::npos)
+        << status.message;
+    EXPECT_FALSE(raw.ReadFrame(&header, &payload));
   }
-  EXPECT_FALSE(raw.ReadFrame(&header, &payload));
   EXPECT_TRUE(EventuallyTrue(
-      [](const Server::Stats& s) { return s.protocol_errors >= 1; }));
+      [](const Server::Stats& s) { return s.protocol_errors >= 2; }));
 }
 
 TEST_F(ServerTest, DisconnectRollsBackStagedTransaction) {

@@ -2,10 +2,11 @@
 // the temp-page ledger (spill_budget_pages = 1, spill on) must change
 // *nothing observable* about a query — same rows in the same order, every
 // ExecCounters field, the buffer pool's fetch/hit/miss totals and
-// MeasuredCost() bit-identical to an unlimited run, across the legacy
-// oracle and every batched batch_rows x exec_threads configuration. The
-// ledger budget deliberately never clamps the buffer pool's LRU capacity,
-// so this is exact equality, not a tolerance (docs/ROBUSTNESS.md).
+// MeasuredCost() bit-identical to the reference evaluator
+// (tests/support/reference_exec.h), in every batch_rows x exec_threads
+// configuration. The ledger budget deliberately never clamps the buffer
+// pool's LRU capacity, so this is exact equality, not a tolerance
+// (docs/ROBUSTNESS.md).
 //
 // Also covered here: the cumulative live-temp-page ledger (two allocations
 // that each fit the budget individually must still trip / spill together),
@@ -20,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -39,6 +39,8 @@
 #include "query/graph_queries.h"
 #include "query/paper_queries.h"
 #include "query/query_graph.h"
+#include "support/random_queries.h"
+#include "support/reference_exec.h"
 #include "test_seed.h"
 
 namespace rodin {
@@ -63,104 +65,21 @@ QueryContext UnlimitedContext() {
   return q;
 }
 
-/// Everything one execution produces, packaged for exact comparison.
-/// `spills` is observability, not part of the identity: it necessarily
-/// differs between the forced and unlimited arms.
-struct ExecFingerprint {
-  std::vector<std::string> rows;  // in emission order
-  ExecCounters counters;
-  uint64_t fetches = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  double measured_cost = 0;
-  uint64_t spills = 0;
-};
-
-ExecFingerprint RunConfig(Database* db, const PTNode& plan,
-                          const ExecOptions& options) {
-  Executor exec(db);
-  exec.ResetMeasurement(/*clear_buffer=*/true);  // cold: deterministic pool
-  Table t = exec.Execute(plan, options);
-
-  ExecFingerprint fp;
-  fp.rows.reserve(t.rows.size());
-  for (const Row& row : t.rows) {
-    std::string key;
-    for (const Value& v : row) key += v.ToString() + "|";
-    fp.rows.push_back(std::move(key));
-  }
-  fp.counters = exec.counters();
-  const BufferPool::Stats& s = db->buffer_pool().stats();
-  fp.fetches = s.fetches;
-  fp.hits = s.hits;
-  fp.misses = s.misses;
-  fp.measured_cost = exec.MeasuredCost();
-  fp.spills = exec.spill_stats().spills;
-  return fp;
-}
-
-void ExpectSameFingerprint(const ExecFingerprint& got,
-                           const ExecFingerprint& want) {
-  ASSERT_EQ(got.rows, want.rows);
-  EXPECT_EQ(got.counters.predicate_evals, want.counters.predicate_evals);
-  EXPECT_EQ(got.counters.method_calls, want.counters.method_calls);
-  EXPECT_EQ(got.counters.method_cost, want.counters.method_cost);
-  EXPECT_EQ(got.counters.rows_produced, want.counters.rows_produced);
-  EXPECT_EQ(got.counters.fix_iterations, want.counters.fix_iterations);
-  EXPECT_EQ(got.fetches, want.fetches);
-  EXPECT_EQ(got.hits, want.hits);
-  EXPECT_EQ(got.misses, want.misses);
-  EXPECT_EQ(got.measured_cost, want.measured_cost);  // bitwise, no ULP
-}
-
-/// Runs `plan` under the legacy oracle with an unlimited ledger, then under
-/// both ledger arms (forced spill / unlimited) for the legacy engine and
-/// every batched configuration, asserting exact equality throughout.
-/// Returns the maximum spill count seen across the forced arms, so callers
-/// that know the query materializes multiple temps can assert the forced
-/// arm really exercised the spill path.
+/// Runs `plan` on the reference evaluator, then on every batched
+/// configuration under both ledger arms (unlimited / forced spill),
+/// asserting exact equality throughout. Returns the maximum spill count
+/// seen across the forced arm, so callers that know the query materializes
+/// multiple temps can assert the forced arm really exercised the spill
+/// path.
 uint64_t ExpectSpillIdentical(Database* db, const PTNode& plan,
                               const std::string& label) {
   const QueryContext unlimited = UnlimitedContext();
   const QueryContext forced = ForcedSpillContext();
-
-  ExecOptions oracle;
-  oracle.use_legacy = true;
-  oracle.query = &unlimited;
-  const ExecFingerprint want = RunConfig(db, plan, oracle);
-
-  uint64_t forced_spills = 0;
-  {
-    SCOPED_TRACE(label + " legacy forced-spill");
-    ExecOptions options;
-    options.use_legacy = true;
-    options.query = &forced;
-    const ExecFingerprint got = RunConfig(db, plan, options);
-    ExpectSameFingerprint(got, want);
-    forced_spills = std::max(forced_spills, got.spills);
-  }
-
-  const size_t kBatchSizes[] = {1, 7, 1024};
-  const size_t kThreadCounts[] = {1, 4};
-  for (size_t batch : kBatchSizes) {
-    for (size_t threads : kThreadCounts) {
-      for (const QueryContext* arm : {&unlimited, &forced}) {
-        const bool is_forced = arm == &forced;
-        SCOPED_TRACE(label + " batch_rows=" + std::to_string(batch) +
-                     " exec_threads=" + std::to_string(threads) +
-                     (is_forced ? " forced-spill" : " unlimited"));
-        ExecOptions options;
-        options.batch_rows = batch;
-        options.exec_threads = threads;
-        options.query = arm;
-        const ExecFingerprint got = RunConfig(db, plan, options);
-        ExpectSameFingerprint(got, want);
-        if (is_forced) forced_spills = std::max(forced_spills, got.spills);
-        if (!is_forced) EXPECT_EQ(got.spills, 0u);
-      }
-    }
-  }
-  return forced_spills;
+  const std::vector<uint64_t> spills = ExpectEngineMatchesReference(
+      db, plan, label,
+      {{"unlimited", &unlimited}, {"forced-spill", &forced}});
+  EXPECT_EQ(spills[0], 0u);
+  return spills[1];
 }
 
 uint64_t OptimizeAndCompare(Database* db, const Stats& stats,
@@ -191,91 +110,6 @@ TEST(SpillDifferentialTest, Fig3HarpsichordForcedSpillIsBitIdentical) {
 
 // --- Randomized queries over randomized databases --------------------------
 // (the exec_differential_test generators, re-run across both ledger arms)
-
-QueryGraph RandomSpjQuery(Rng* rng, const Schema& schema) {
-  QueryGraphBuilder b;
-  NodeBuilder& node = b.Node("Answer");
-  const int arcs = 1 + static_cast<int>(rng->Below(3));
-  std::vector<std::string> vars;
-  for (int i = 0; i < arcs; ++i) {
-    const std::string var = "x" + std::to_string(i);
-    node.Input("Composer", var);
-    vars.push_back(var);
-    if (i > 0) {
-      node.Where(Expr::Eq(Expr::Path(vars[i - 1], {"master"}),
-                          rng->Chance(0.5) ? Expr::Path(var, {"master"})
-                                           : Expr::Path(var, {})));
-    }
-  }
-  const int sels = 1 + static_cast<int>(rng->Below(3));
-  for (int i = 0; i < sels; ++i) {
-    const std::string& var = vars[rng->Below(vars.size())];
-    switch (rng->Below(4)) {
-      case 0:
-        node.Where(Expr::Cmp(rng->Chance(0.5) ? CompareOp::kGe : CompareOp::kLt,
-                             Expr::Path(var, {"birthyear"}),
-                             Expr::Lit(Value::Int(rng->Range(1620, 1720)))));
-        break;
-      case 1:
-        node.Where(Expr::Eq(
-            Expr::Path(var, {"works", "instruments", "family"}),
-            Expr::Lit(Value::Str(rng->Chance(0.5) ? "keyboard" : "string"))));
-        break;
-      case 2:
-        node.Where(Expr::Eq(
-            Expr::Path(var, {"master", "name"}),
-            Expr::Lit(Value::Str("composer_" + std::to_string(rng->Below(8))))));
-        break;
-      default: {
-        static const char* kInstr[] = {"harpsichord", "flute", "violin",
-                                       "organ"};
-        node.Where(Expr::Eq(
-            Expr::Path(var, {"works", "instruments", "iname"}),
-            Expr::Lit(Value::Str(kInstr[rng->Below(4)]))));
-        break;
-      }
-    }
-  }
-  node.OutPath("n", vars[0], {"name"});
-  if (rng->Chance(0.5)) node.OutPath("y", vars[0], {"birthyear"});
-  return b.Build(schema);
-}
-
-QueryGraph RandomRecursiveQuery(Rng* rng, const Schema& schema) {
-  QueryGraphBuilder b;
-  b.Node("Influencer", "P1")
-      .Input("Composer", "x")
-      .OutPath("master", "x", {"master"})
-      .OutPath("disciple", "x")
-      .Out("gen", Expr::Lit(Value::Int(1)));
-  b.Node("Influencer", "P2")
-      .Input("Influencer", "i")
-      .Input("Composer", "x")
-      .Where(Expr::Eq(Expr::Path("i", {"disciple"}), Expr::Path("x", {"master"})))
-      .OutPath("master", "i", {"master"})
-      .OutPath("disciple", "x")
-      .Out("gen", Expr::Arith(ArithOp::kAdd, Expr::Path("i", {"gen"}),
-                              Expr::Lit(Value::Int(1))));
-
-  NodeBuilder& answer = b.Node("Answer", "P3");
-  answer.Input("Influencer", "j");
-  if (rng->Chance(0.7)) {
-    answer.Where(Expr::Cmp(CompareOp::kGe, Expr::Path("j", {"gen"}),
-                           Expr::Lit(Value::Int(rng->Range(2, 6)))));
-  }
-  if (rng->Chance(0.5)) {
-    static const char* kInstr[] = {"harpsichord", "flute", "violin", "organ"};
-    answer.Where(
-        Expr::Eq(Expr::Path("j", {"master", "works", "instruments", "iname"}),
-                 Expr::Lit(Value::Str(kInstr[rng->Below(4)]))));
-  } else {
-    answer.Where(Expr::Cmp(CompareOp::kLt,
-                           Expr::Path("j", {"master", "birthyear"}),
-                           Expr::Lit(Value::Int(rng->Range(1620, 1720)))));
-  }
-  answer.OutPath("n", "j", {"disciple", "name"});
-  return b.Build(schema);
-}
 
 class SpillDifferentialSeedTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -340,7 +174,7 @@ TEST_P(SpillDifferentialSeedTest, GraphClosure) {
 }
 
 // 6 seeds x (2 SPJ + 2 recursive) + 6 graph closures = 30 random queries,
-// each compared across 13 engine/ledger arms against the unlimited oracle.
+// each compared across 12 engine/ledger arms against the reference.
 INSTANTIATE_TEST_SUITE_P(Seeds, SpillDifferentialSeedTest,
                          ::testing::Range<uint64_t>(1, 7),
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
@@ -528,36 +362,30 @@ TEST(SpillLedgerTest, RowWiderThanBudgetIsRefusedEvenWithSpillOn) {
   ASSERT_TRUE(plan.ok()) << plan.status.ToString();
 
   const QueryContext forced = ForcedSpillContext();
-  for (const bool use_legacy : {true, false}) {
-    SCOPED_TRACE(use_legacy ? "legacy" : "batched");
-    ExecOptions options;
-    options.use_legacy = use_legacy;
-    options.query = &forced;
-    Executor exec(g.db.get());
-    exec.ResetMeasurement(/*clear_buffer=*/true);
-    Table out;
-    const Status status = exec.ExecuteInto(*plan.plan, options, &out);
-    ASSERT_EQ(status.code, Status::Code::kResourceExhausted)
-        << status.ToString();
-    EXPECT_NE(status.message.find("no partitioning can split one row"),
-              std::string::npos)
-        << status.message;
-    EXPECT_EQ(ResourceDetailRequested(status.detail), TempRowPages(263));
-    EXPECT_TRUE(out.rows.empty());
-    // Narrower working sets (the union dedup) may have spilled before the
-    // wide row tripped; the point is the refusal fired despite spill-on.
-  }
-
-  // The same plan under an unlimited ledger completes: the refusal is about
-  // the budget, not the query.
-  const QueryContext unlimited = UnlimitedContext();
-  ExecOptions ok;
-  ok.query = &unlimited;
+  ExecOptions options;
+  options.query = &forced;
   Executor exec(g.db.get());
   exec.ResetMeasurement(/*clear_buffer=*/true);
   Table out;
-  ASSERT_TRUE(exec.ExecuteInto(*plan.plan, ok, &out).ok());
-  EXPECT_FALSE(out.rows.empty());
+  const Status status = exec.ExecuteInto(*plan.plan, options, &out);
+  ASSERT_EQ(status.code, Status::Code::kResourceExhausted)
+      << status.ToString();
+  EXPECT_NE(status.message.find("no partitioning can split one row"),
+            std::string::npos)
+      << status.message;
+  EXPECT_EQ(ResourceDetailRequested(status.detail), TempRowPages(263));
+  EXPECT_TRUE(out.rows.empty());
+  // Narrower working sets (the union dedup) may have spilled before the
+  // wide row tripped; the point is the refusal fired despite spill-on.
+
+  // The same plan under an unlimited ledger completes, exactly like the
+  // reference: the refusal is about the budget, not the query.
+  const QueryContext unlimited = UnlimitedContext();
+  ExecOptions ok;
+  ok.query = &unlimited;
+  const ExecFingerprint got = EngineFingerprint(g.db.get(), *plan.plan, ok);
+  EXPECT_FALSE(got.rows.empty());
+  ExpectSameFingerprint(got, ReferenceFingerprint(g.db.get(), *plan.plan));
 }
 
 // --- Spilled fix-cache hits ------------------------------------------------
@@ -574,34 +402,27 @@ TEST(SpillLedgerTest, SpilledFixCacheHitServesIdenticalRows) {
   ASSERT_TRUE(plan.ok()) << plan.status.ToString();
 
   const QueryContext forced = ForcedSpillContext();
-  const QueryContext unlimited = UnlimitedContext();
-  for (const bool use_legacy : {true, false}) {
-    SCOPED_TRACE(use_legacy ? "legacy" : "batched");
-    // One executor per arm: the fix cache persists across Execute calls,
-    // so the second run is served from the (spilled) memoized result.
-    Executor spilling(g.db.get());
-    Executor plain(g.db.get());
-    ExecOptions forced_options;
-    forced_options.use_legacy = use_legacy;
-    forced_options.query = &forced;
-    ExecOptions plain_options;
-    plain_options.use_legacy = use_legacy;
-    plain_options.query = &unlimited;
+  // One executor each: the fix cache (and the reference's memo) persists
+  // across Execute calls, so the second run is served from the (spilled)
+  // memoized result.
+  Executor spilling(g.db.get());
+  ReferenceExecutor reference(g.db.get());
+  ExecOptions forced_options;
+  forced_options.query = &forced;
 
-    for (int run = 0; run < 2; ++run) {
-      SCOPED_TRACE("run " + std::to_string(run));
-      spilling.ResetMeasurement(/*clear_buffer=*/true);
-      const Table got = spilling.Execute(*plan.plan, forced_options);
-      plain.ResetMeasurement(/*clear_buffer=*/true);
-      const Table want = plain.Execute(*plan.plan, plain_options);
-      ASSERT_EQ(Keys(got), Keys(want));
-      EXPECT_EQ(spilling.MeasuredCost(), plain.MeasuredCost());
-      EXPECT_EQ(spilling.counters().fix_iterations,
-                plain.counters().fix_iterations);
-    }
-    // The cache-hit run re-read the spilled payload from disk.
-    if (!use_legacy) EXPECT_GT(spilling.spill_stats().passes, 0u);
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    spilling.ResetMeasurement(/*clear_buffer=*/true);
+    const Table got = spilling.Execute(*plan.plan, forced_options);
+    reference.ResetMeasurement(/*clear_buffer=*/true);
+    const Table want = reference.Execute(*plan.plan);
+    ASSERT_EQ(Keys(got), Keys(want));
+    EXPECT_EQ(spilling.MeasuredCost(), reference.MeasuredCost());
+    EXPECT_EQ(spilling.counters().fix_iterations,
+              reference.counters().fix_iterations);
   }
+  // The cache-hit run re-read the spilled payload from disk.
+  EXPECT_GT(spilling.spill_stats().passes, 0u);
 }
 
 // --- Lifecycle mid-spill ---------------------------------------------------

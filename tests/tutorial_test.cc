@@ -16,6 +16,7 @@
 #include "cost/fig7.h"
 #include "optimizer/baseline.h"
 #include "query/parser.h"
+#include "support/reference_exec.h"
 
 namespace rodin {
 namespace {
@@ -138,25 +139,26 @@ TEST_F(TutorialTest, StreamingSectionWorksAsWritten) {
 }
 
 TEST_F(TutorialTest, CompiledEvalSectionWorksAsWritten) {
-  // Mirrors "Compiled expression evaluation": the batched engine's compiled
-  // run and the interpreting legacy engine give the same rows and
-  // bit-identical accounting, and EXPLAIN ends with the disassembly block.
+  // Mirrors "Compiled expression evaluation": the compiled run and the
+  // test suite's interpreting reference evaluator, run on the same plan,
+  // give the same rows and bit-identical accounting, and EXPLAIN ends with
+  // the disassembly block.
   Session session(db_.get());
   QueryOptions ro;
   ro.cold = true;
   const QueryRun compiled = session.Run(kQuery, ro);
   ASSERT_TRUE(compiled.ok()) << compiled.error();
 
-  ro.legacy_exec = true;
-  const QueryRun interpreted = session.Run(kQuery, ro);
-  ASSERT_TRUE(interpreted.ok()) << interpreted.error();
+  ReferenceExecutor reference(db_.get());
+  reference.ResetMeasurement(/*clear_buffer=*/true);
+  const Table interpreted = reference.Execute(*compiled.optimized.plan);
 
-  EXPECT_EQ(compiled.answer.rows, interpreted.answer.rows);
-  EXPECT_EQ(compiled.measured_cost, interpreted.measured_cost);
+  EXPECT_EQ(compiled.answer.rows, interpreted.rows);
+  EXPECT_EQ(compiled.measured_cost, reference.MeasuredCost());
   EXPECT_EQ(compiled.counters.predicate_evals,
-            interpreted.counters.predicate_evals);
-  EXPECT_EQ(compiled.counters.method_calls, interpreted.counters.method_calls);
-  EXPECT_EQ(compiled.counters.method_cost, interpreted.counters.method_cost);
+            reference.counters().predicate_evals);
+  EXPECT_EQ(compiled.counters.method_calls, reference.counters().method_calls);
+  EXPECT_EQ(compiled.counters.method_cost, reference.counters().method_cost);
 
   QueryOptions ex;
   ex.cold = true;

@@ -6,14 +6,15 @@
 //
 //  1. Expression-level: hundreds of randomly generated predicate / value /
 //     projection programs over the music schema, compiled and run against
-//     real rows next to EvalPred / EvalMulti, comparing results, method
+//     real rows next to the reference interpreter's EvalPred / EvalMulti
+//     (tests/support/reference_exec.h), comparing results, method
 //     counters AND the exact page-charge sequence (bound navigation runs
 //     inside the VM, so every dereference must land in the same order).
 //
 //  2. Query-level: randomized SPJ and recursive queries optimized and
 //     executed by the batched engine (every expression compiled) over batch
-//     sizes {1, 7, 1024} x threads {1, 4}, against the legacy engine (which
-//     interprets and resolves every step by name) as oracle — rows, every
+//     sizes {1, 7, 1024} x threads {1, 4}, against the reference evaluator
+//     (which interprets and resolves every step by name) — rows, every
 //     ExecCounters field, pool fetch/hit/miss totals and MeasuredCost()
 //     must be bit-identical.
 //
@@ -30,7 +31,6 @@
 #include "cost/stats.h"
 #include "datagen/music_gen.h"
 #include "exec/eval_core.h"
-#include "exec/executor.h"
 #include "exec/vm/bytecode.h"
 #include "exec/vm/compiler.h"
 #include "exec/vm/vm.h"
@@ -38,6 +38,7 @@
 #include "optimizer/optimizer.h"
 #include "query/builder.h"
 #include "query/query_graph.h"
+#include "support/reference_exec.h"
 #include "test_seed.h"
 
 namespace rodin {
@@ -333,71 +334,6 @@ TEST_F(VmExpressionFuzz, ProjectionProgramsMatchInterpreter) {
 
 // --- Layer 2: whole queries across the batch/thread matrix -----------------
 
-struct ExecFingerprint {
-  std::vector<std::string> rows;
-  ExecCounters counters;
-  uint64_t fetches = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  double measured_cost = 0;
-};
-
-ExecFingerprint RunConfig(Database* db, const PTNode& plan,
-                          const ExecOptions& options) {
-  Executor exec(db);
-  exec.ResetMeasurement(/*clear_buffer=*/true);
-  Table t = exec.Execute(plan, options);
-
-  ExecFingerprint fp;
-  fp.rows.reserve(t.rows.size());
-  for (const Row& row : t.rows) {
-    std::string key;
-    for (const Value& v : row) key += v.ToString() + "|";
-    fp.rows.push_back(std::move(key));
-  }
-  fp.counters = exec.counters();
-  const BufferPool::Stats& s = db->buffer_pool().stats();
-  fp.fetches = s.fetches;
-  fp.hits = s.hits;
-  fp.misses = s.misses;
-  fp.measured_cost = exec.MeasuredCost();
-  return fp;
-}
-
-/// The legacy engine as oracle (interpreted expressions, by-name
-/// navigation), the batched engine's compiled eval across the full
-/// batch-size x thread-count matrix.
-void ExpectCompiledIdentical(Database* db, const PTNode& plan,
-                             const std::string& label) {
-  ExecOptions interp;
-  interp.use_legacy = true;
-  const ExecFingerprint want = RunConfig(db, plan, interp);
-
-  const size_t kBatchSizes[] = {1, 7, 1024};
-  const size_t kThreadCounts[] = {1, 4};
-  for (size_t batch : kBatchSizes) {
-    for (size_t threads : kThreadCounts) {
-      SCOPED_TRACE(label + " batch_rows=" + std::to_string(batch) +
-                   " exec_threads=" + std::to_string(threads));
-      ExecOptions options;
-      options.batch_rows = batch;
-      options.exec_threads = threads;
-      const ExecFingerprint got = RunConfig(db, plan, options);
-
-      ASSERT_EQ(got.rows, want.rows);
-      EXPECT_EQ(got.counters.predicate_evals, want.counters.predicate_evals);
-      EXPECT_EQ(got.counters.method_calls, want.counters.method_calls);
-      EXPECT_EQ(got.counters.method_cost, want.counters.method_cost);
-      EXPECT_EQ(got.counters.rows_produced, want.counters.rows_produced);
-      EXPECT_EQ(got.counters.fix_iterations, want.counters.fix_iterations);
-      EXPECT_EQ(got.fetches, want.fetches);
-      EXPECT_EQ(got.hits, want.hits);
-      EXPECT_EQ(got.misses, want.misses);
-      EXPECT_EQ(got.measured_cost, want.measured_cost);  // bitwise, no ULP
-    }
-  }
-}
-
 QueryGraph RandomSpjQuery(Rng* rng, const Schema& schema) {
   QueryGraphBuilder b;
   NodeBuilder& node = b.Node("Answer");
@@ -501,14 +437,14 @@ TEST_P(VmQueryFuzzTest, CompiledMatchesInterpreted) {
     Optimizer optimizer(g.db.get(), &stats, &cost, CostBasedOptions(seed));
     OptimizeResult plan = optimizer.Optimize(spj);
     ASSERT_TRUE(plan.ok()) << plan.status.ToString() << "\n" << spj.ToString();
-    ExpectCompiledIdentical(g.db.get(), *plan.plan,
-                            "spj round " + std::to_string(round));
+    ExpectEngineMatchesReference(g.db.get(), *plan.plan,
+                                 "spj round " + std::to_string(round));
   }
   const QueryGraph rec = RandomRecursiveQuery(&rng, *g.schema);
   Optimizer optimizer(g.db.get(), &stats, &cost, CostBasedOptions(seed));
   OptimizeResult plan = optimizer.Optimize(rec);
   ASSERT_TRUE(plan.ok()) << plan.status.ToString() << "\n" << rec.ToString();
-  ExpectCompiledIdentical(g.db.get(), *plan.plan, "recursive");
+  ExpectEngineMatchesReference(g.db.get(), *plan.plan, "recursive");
 }
 
 // 6 seeds x (2 SPJ + 1 recursive) = 18 optimized plans, each checked across

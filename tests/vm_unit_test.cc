@@ -20,6 +20,7 @@
 #include "exec/vm/compiler.h"
 #include "exec/vm/vm.h"
 #include "storage/physical_schema.h"
+#include "support/reference_exec.h"
 
 namespace rodin {
 namespace {
@@ -425,7 +426,7 @@ TEST(BoundPathTest, MatchesByNameNavigationOnEveryExtent) {
 
 // --- EXPLAIN carries the disassembly ----------------------------------------
 
-TEST_F(VmTest, ExplainIncludesDisassemblyUnlessLegacy) {
+TEST_F(VmTest, ExplainIncludesDisassembly) {
   Session session(g_.db.get());
   const std::string text =
       "select [n: x.name] from x in Composer where x.birthyear < 1700";
@@ -436,13 +437,6 @@ TEST_F(VmTest, ExplainIncludesDisassemblyUnlessLegacy) {
   EXPECT_NE(on.ToString().find("bytecode (compiled eval):"),
             std::string::npos);
   EXPECT_NE(on.vm_disassembly.find("RetBool"), std::string::npos);
-
-  QueryOptions legacy;
-  legacy.legacy_exec = true;
-  const ExplainResult off = session.Explain(text, legacy);
-  ASSERT_TRUE(off.ok()) << off.status.ToString();
-  EXPECT_TRUE(off.vm_disassembly.empty());
-  EXPECT_EQ(off.ToString().find("bytecode"), std::string::npos);
 }
 
 }  // namespace

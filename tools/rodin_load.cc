@@ -24,15 +24,15 @@
 // --mix=NrMw (e.g. --mix=90r10w) interleaves writes into each client's
 // request stream in the given read:write proportion (deterministically, so
 // every run issues the same mix). A write is one MUTATE+COMMIT round-trip
-// (protocol v2) updating --write-attr of a rotating slot in
-// --write-extent with a unique string — small, conflicting-by-design
-// single-op transactions. Retryable refusals (the single-writer slot held
-// by another connection, or live streaming cursors at commit) are counted
-// as conflicts and retried with jittered exponential backoff under their
-// own generous cap (>= 64 attempts, not --max-retries): the server's
-// single writer always completes, so a persistent retrier is guaranteed
-// to make progress, and a whole fleet contending for one write slot needs
-// far more attempts than a shed read does.
+// updating --write-attr of a rotating slot in --write-extent with a unique
+// string — small, conflicting-by-design single-op transactions. Retryable
+// refusals (the single-writer slot held by another connection, or live
+// streaming cursors at commit) are counted as conflicts and retried with
+// jittered exponential backoff under their own generous cap (>= 64
+// attempts, not --max-retries): the server's single writer always
+// completes, so a persistent retrier is guaranteed to make progress, and a
+// whole fleet contending for one write slot needs far more attempts than a
+// shed read does.
 //
 // Output: a Google Benchmark-shaped JSON (--out; default BENCH_server.json,
 // or BENCH_mutate.json under --mix) with one iteration row per figure — in
