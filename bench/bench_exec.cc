@@ -2,6 +2,7 @@
 // engine's morsel workers, on the Figure 3 recursion and a selective scan.
 // E14 — compiled evaluation over bound navigation, with per-layer rows for
 // navigation, charge logging and pool replay.
+// E18 — the nested-loop join's pair loop alone (BM_LayerNLJoinPairs).
 // Every configuration computes the same answer with bit-identical counters
 // and measured cost (asserted here cheaply via row counts; the exhaustive
 // check is exec_differential_test) — the sweep measures pure wall time.
@@ -14,6 +15,8 @@
 
 #include <cstdio>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "cost/cost_model.h"
@@ -23,6 +26,7 @@
 #include "exec/executor.h"
 #include "optimizer/baseline.h"
 #include "optimizer/optimizer.h"
+#include "plan/pt.h"
 #include "query/builder.h"
 #include "query/paper_queries.h"
 
@@ -303,6 +307,61 @@ void BM_LayerPoolReplay(benchmark::State& state) {
   state.counters["misses"] = static_cast<double>(pool.stats().misses);
 }
 BENCHMARK(BM_LayerPoolReplay)->Unit(benchmark::kMicrosecond);
+
+// The pair loop of the Fig. 3 fixpoint join, alone: the base delta of the
+// recursion (one row per composer, as the Influencer view's first
+// iteration holds it) nested-loop-joined with Composer on
+// i.disciple = x.master. Every (delta row, composer) pair is one predicate
+// evaluation; `pairs` and `charges` (pool fetches, re-scans included) are
+// deterministic, so a change to either is a change in work, not noise.
+struct PairLoopCase {
+  Database* db = nullptr;
+  PTPtr plan;
+};
+
+PairLoopCase& PairCase() {
+  static PairLoopCase* c = [] {
+    auto* p = new PairLoopCase;
+    ExecCase& rc = RecursiveCase();
+    p->db = rc.db.db.get();
+    const ClassDef* composer = rc.db.schema->FindClass("Composer");
+    std::vector<OutCol> proj;
+    proj.push_back(OutCol{"i.master", Expr::Path("c", {"master"})});
+    proj.push_back(OutCol{"i.disciple", Expr::Path("c")});
+    proj.push_back(OutCol{"i.gen", Expr::Lit(Value::Int(1))});
+    PTPtr delta = MakeProj(
+        MakeEntity(EntityRef{"Composer", 0, 0}, "c", composer),
+        std::move(proj),
+        {{"i.master", composer}, {"i.disciple", composer}, {"i.gen", nullptr}},
+        /*dedup=*/false);
+    p->plan = MakeEJ(std::move(delta),
+                     MakeEntity(EntityRef{"Composer", 0, 0}, "x", composer),
+                     Expr::Eq(Expr::Path("i", {"disciple"}),
+                              Expr::Path("x", {"master"})),
+                     JoinAlgo::kNestedLoop);
+    return p;
+  }();
+  return *c;
+}
+
+void BM_LayerNLJoinPairs(benchmark::State& state) {
+  PairLoopCase& c = PairCase();
+  uint64_t pairs = 0, charges = 0;
+  for (auto _ : state) {
+    Executor exec(c.db);
+    exec.ResetMeasurement(true);
+    const Table out = exec.Execute(*c.plan);
+    benchmark::DoNotOptimize(out.rows.data());
+    pairs = exec.counters().predicate_evals;
+    charges = c.db->buffer_pool().stats().fetches;
+  }
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.counters["charges"] = static_cast<double>(charges);
+  state.counters["pairs/sec"] = benchmark::Counter(
+      static_cast<double>(pairs) * state.iterations(),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_LayerNLJoinPairs)->Unit(benchmark::kMicrosecond);
 
 void BM_BatchRowsSweep(benchmark::State& state) {
   ExecOptions options;

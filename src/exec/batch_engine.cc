@@ -340,9 +340,13 @@ class DedupBuffer {
 };
 
 /// Counts a freshly compiled chunk into the engine's vm profile.
-vm::BytecodeChunk Profiled(ExecCtx* ctx, vm::BytecodeChunk chunk) {
+void Profile(ExecCtx* ctx, const vm::BytecodeChunk& chunk) {
   ++ctx->vm_chunks;
   ctx->vm_instrs += chunk.code.size();
+}
+
+vm::BytecodeChunk Profiled(ExecCtx* ctx, vm::BytecodeChunk chunk) {
+  Profile(ctx, chunk);
   return chunk;
 }
 
@@ -363,6 +367,18 @@ vm::BytecodeChunk CompileProjChunk(ExecCtx* ctx,
                                    const std::vector<OutCol>& proj,
                                    const RowSchema& schema) {
   return Profiled(ctx, vm::CompileProjection(proj, schema, *ctx->db));
+}
+
+/// Splits and compiles a nested-loop join's predicate (memo slots plus the
+/// pair program, see vm::CompileJoinPredicate).
+vm::JoinPredicate CompileJoinChunks(ExecCtx* ctx, const ExprPtr& pred,
+                                    const RowSchema& outer,
+                                    const RowSchema& inner) {
+  vm::JoinPredicate jp = vm::CompileJoinPredicate(pred, outer, inner, *ctx->db);
+  for (const vm::BytecodeChunk& c : jp.outer_slots) Profile(ctx, c);
+  for (const vm::BytecodeChunk& c : jp.inner_slots) Profile(ctx, c);
+  Profile(ctx, jp.pair);
+  return jp;
 }
 
 /// Base batched operator: pull-based Open-on-first-Next / NextBatch / (no
@@ -923,17 +939,31 @@ class IndexJoinOp : public Op {
 
 /// Nested-loop explicit join. A barrier: both sides materialize before
 /// probing (the inner must exist in full, and re-scan charges are per
-/// outer row). Probing is morsel-parallel over the
-/// outer side. With ExecOptions::hash_equijoin and an extractable equi
-/// conjunct, the inner is loaded into a hash table instead — same result
-/// rows in the same order, different (honest) accounting.
+/// outer row). Probing is morsel-parallel over the outer side.
+///
+/// The predicate is split at build time (vm::CompileJoinPredicate): every
+/// operand that reads one input only is a memo slot, evaluated once per
+/// inner row when the join opens and once per outer row in its probe
+/// morsel, each time under a capturing log. Per pair only the pair program
+/// runs; its kLoadSlot replays a slot's captured charges and method counts
+/// where the interpreter would have made them, so the charge sequence and
+/// every counter stay those of evaluating the whole predicate per pair. The
+/// joined row is built only for matches. The inner memo is a working set
+/// like any other: it is charged to the temp-page ledger while probing, and
+/// when it does not fit (or the inner spilled) each pair captures its inner
+/// row's slots itself.
+///
+/// With ExecOptions::hash_equijoin and an extractable equi conjunct, the
+/// inner is loaded into a hash table instead — same result rows in the
+/// same order, different (honest) accounting.
 class NLJoinOp : public Op {
  public:
   NLJoinOp(ExecCtx* ctx, const PTNode* node) : Op(ctx, node) {
     schema_.cols = node->cols;
     children_.push_back(BuildOp(ctx, node->children[0].get()));
     children_.push_back(BuildOp(ctx, node->children[1].get()));
-    pred_chunk_ = CompilePredChunk(ctx, node->pred, schema_);
+    pred_ = CompileJoinChunks(ctx, node->pred, children_[0]->schema(),
+                              children_[1]->schema());
   }
 
  protected:
@@ -947,6 +977,11 @@ class NLJoinOp : public Op {
       ProbeChunk();
       if (ServePending(out)) return true;
     }
+    // Probing is over: free the inner memo and return its ledger pages.
+    inner_memo_ = vm::SlotMemo();
+    has_inner_memo_ = false;
+    ctx_->ReleaseTemp(inner_memo_pages_);
+    inner_memo_pages_ = 0;
     return false;
   }
 
@@ -978,6 +1013,7 @@ class NLJoinOp : public Op {
         has_delta_temp_ = true;
       }
     }
+    if (!spill_inner) CaptureInnerMemo();
     // Hash build first: key evaluation (and its accounting) runs over the
     // in-memory rows exactly as without spilling. Only then do the build
     // rows move to disk; probes read them back by index.
@@ -991,18 +1027,49 @@ class NLJoinOp : public Op {
     }
   }
 
-  /// Picks the first Eq conjunct whose sides resolve unambiguously against
-  /// the outer and inner schemas respectively; builds inner-key -> row-index
+  /// Inner slots, once per in-memory inner row, when the memo fits the
+  /// ledger's remainder; it is then charged to the ledger until probing
+  /// ends. Capturing charges nothing: each pair replays what it reads. A
+  /// memo that outgrows the remainder is dropped (nothing spills, nothing
+  /// is refused) and ProbePair captures per pair instead.
+  void CaptureInnerMemo() {
+    const bool budgeted = ctx_->ledger_budget > 0;
+    const uint64_t room =
+        budgeted && ctx_->ledger_budget > ctx_->live_temp_pages
+            ? (ctx_->ledger_budget - ctx_->live_temp_pages) * kPageSizeBytes
+            : 0;
+    vm::VmScratch scratch;
+    inner_memo_.Clear(pred_.inner_slots.size());
+    bool fits = true;
+    for (const Row& r : right_.rows) {
+      inner_memo_.Capture(pred_.inner_slots, ctx_->db, r, &scratch);
+      if (budgeted && inner_memo_.bytes() > room) {
+        fits = false;
+        break;
+      }
+    }
+    ctx_->vm_rows += scratch.rows;
+    if (!fits) {
+      inner_memo_ = vm::SlotMemo();
+      return;
+    }
+    has_inner_memo_ = true;
+    if (budgeted) {
+      inner_memo_pages_ =
+          (inner_memo_.bytes() + kPageSizeBytes - 1) / kPageSizeBytes;
+      ctx_->live_temp_pages += inner_memo_pages_;
+    }
+  }
+
+  /// Picks the first Eq conjunct whose sides are a path of the outer and a
+  /// path of the inner (OperandSide); builds inner-key -> row-index
   /// buckets, morsel-parallel (keys merged in inner-row order).
   void TryBuildHash() {
     if (node_->pred == nullptr) return;
-    const RowSchema& ls = children_[0]->schema();
-    const RowSchema& rs = children_[1]->schema();
-    auto resolvable = [](const RowSchema& s, const ExprPtr& e) {
-      if (e == nullptr || e->kind() != ExprKind::kVarPath) return false;
-      int col = -1;
-      std::vector<std::string> rest;
-      return s.ResolveVarPath(e->var(), e->path(), &col, &rest);
+    const size_t nl = children_[0]->schema().cols.size();
+    auto side = [&](const ExprPtr& e) {
+      return e->kind() == ExprKind::kVarPath ? OperandSide(*e, schema_, nl)
+                                             : JoinSide::kBoth;
     };
     for (const ExprPtr& c : node_->pred->Conjuncts()) {
       if (c->kind() != ExprKind::kCompare ||
@@ -1011,14 +1078,12 @@ class NLJoinOp : public Op {
       }
       const ExprPtr& l = c->children()[0];
       const ExprPtr& r = c->children()[1];
-      if (resolvable(ls, l) && !resolvable(rs, l) && resolvable(rs, r) &&
-          !resolvable(ls, r)) {
+      if (side(l) == JoinSide::kOuter && side(r) == JoinSide::kInner) {
         probe_ = l;
         build_ = r;
         break;
       }
-      if (resolvable(ls, r) && !resolvable(rs, r) && resolvable(rs, l) &&
-          !resolvable(ls, l)) {
+      if (side(r) == JoinSide::kOuter && side(l) == JoinSide::kInner) {
         probe_ = r;
         build_ = l;
         break;
@@ -1057,12 +1122,57 @@ class NLJoinOp : public Op {
     hash_built_ = true;
   }
 
-  /// Overwrites the inner part of the joined row `*row` (outer columns
-  /// [0, nl) stay) with `rrow`. The row is reused across a whole outer
-  /// row's probes, so only matches are copied out.
-  static void JoinInto(size_t nl, const Row& rrow, Row* row) {
-    row->resize(nl);
-    row->insert(row->end(), rrow.begin(), rrow.end());
+  /// Captures the outer slots of `lrow`, the row this morsel probes next,
+  /// and returns the pair slots of its pairs with inner row 0.
+  vm::PairSlots BeginOuterRow(EvalContext* ec, const Row& lrow) const {
+    ec->vm->outer_row.Clear(pred_.outer_slots.size());
+    ec->vm->outer_row.Capture(pred_.outer_slots, ec->db, lrow, ec->vm);
+    vm::PairSlots slots;
+    slots.memo = {&ec->vm->outer_row, &inner_memo_};
+    return slots;
+  }
+
+  /// Replays, for the outer row BeginOuterRow captured, the charges and
+  /// method counts of its pairs with every inner row, ahead of evaluating
+  /// them, when that sequence is known without running them: the pair
+  /// program loads every slot once per pair in slot order, and the outer
+  /// row's slots charged nothing, so the sequence is the inner memo's
+  /// entries in order. Returns false (nothing replayed) when the pairs must
+  /// replay their own.
+  bool ReplayInnerBlock(EvalContext* ec) const {
+    if (!pred_.loads_every_slot || !ec->vm->outer_row.quiet()) return false;
+    inner_memo_.ReplayAll(ec);
+    return true;
+  }
+
+  static Row Joined(const Row& lrow, const Row& rrow) {
+    Row row;
+    row.reserve(lrow.size() + rrow.size());
+    row.insert(row.end(), lrow.begin(), lrow.end());
+    row.insert(row.end(), rrow.begin(), rrow.end());
+    return row;
+  }
+
+  /// Evaluates the predicate on (`lrow`, inner row `ri`), one predicate
+  /// evaluation, and appends the joined row on a match. Without an inner
+  /// memo (a spilled inner, which keeps its per-pair read-back, or a memo
+  /// over the ledger) the inner row's slots are captured here.
+  void ProbePair(EvalContext* ec, const Row& lrow, vm::PairSlots slots,
+                 size_t ri, std::vector<Row>* rows) {
+    Row spill_row;
+    if (right_spill_ != nullptr) spill_row = right_spill_->ReadRow(ri);
+    const Row& rrow = right_spill_ != nullptr ? spill_row : right_.rows[ri];
+    if (has_inner_memo_) {
+      slots.row[1] = ri;
+    } else {
+      ec->vm->inner_row.Clear(pred_.inner_slots.size());
+      ec->vm->inner_row.Capture(pred_.inner_slots, ec->db, rrow, ec->vm);
+      slots.memo[1] = &ec->vm->inner_row;
+    }
+    ++*ec->predicate_evals;
+    if (vm::RunPairPred(pred_.pair, ec, slots, ec->vm)) {
+      rows->push_back(Joined(lrow, rrow));
+    }
   }
 
   void ProbeChunk() {
@@ -1081,22 +1191,11 @@ class NLJoinOp : public Op {
               if (it == hash_.end()) continue;
               cand.insert(cand.end(), it->second.begin(), it->second.end());
             }
+            if (cand.empty()) return;
             std::sort(cand.begin(), cand.end());
             cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-            Row row = lrow;
-            for (size_t ri : cand) {
-              Row spill_row;
-              if (right_spill_ != nullptr) {
-                spill_row = right_spill_->ReadRow(ri);
-              }
-              const Row& rrow =
-                  right_spill_ != nullptr ? spill_row : right_.rows[ri];
-              JoinInto(lrow.size(), rrow, &row);
-              ++*ec->predicate_evals;
-              if (vm::RunPred(pred_chunk_, ec, row, ec->vm)) {
-                rows->push_back(row);
-              }
-            }
+            const vm::PairSlots slots = BeginOuterRow(ec, lrow);
+            for (size_t ri : cand) ProbePair(ec, lrow, slots, ri, rows);
           },
           &log_, &pending_);
     } else {
@@ -1122,19 +1221,21 @@ class NLJoinOp : public Op {
               // of the delta temp are charged here.
               if (has_delta_temp_) ChargeTempScan(delta_temp_, ec->charger);
             }
-            Row row = lrow;
-            for (size_t ri = 0; ri < rcount; ++ri) {
-              Row spill_row;
-              if (right_spill_ != nullptr) {
-                spill_row = right_spill_->ReadRow(ri);
+            if (rcount == 0) return;
+            vm::PairSlots slots = BeginOuterRow(ec, lrow);
+            if (!has_inner_memo_) {
+              for (size_t ri = 0; ri < rcount; ++ri) {
+                ProbePair(ec, lrow, slots, ri, rows);
               }
-              const Row& rrow =
-                  right_spill_ != nullptr ? spill_row : right_.rows[ri];
-              JoinInto(lrow.size(), rrow, &row);
-              ++*ec->predicate_evals;
-              if (vm::RunPred(pred_chunk_, ec, row, ec->vm)) {
-                rows->push_back(row);
-              }
+              return;
+            }
+            slots.replay = !ReplayInnerBlock(ec);
+            *ec->predicate_evals += rcount;
+            std::vector<size_t>& matches = ec->vm->matches;
+            matches.clear();
+            vm::RunPairs(pred_.pair, ec, slots, rcount, &matches, ec->vm);
+            for (size_t ri : matches) {
+              rows->push_back(Joined(lrow, right_.rows[ri]));
             }
           },
           &log_, &pending_);
@@ -1152,11 +1253,14 @@ class NLJoinOp : public Op {
   TempFile temp_;
   TempFile delta_temp_;
   bool has_delta_temp_ = false;
+  vm::JoinPredicate pred_;
+  vm::SlotMemo inner_memo_;
+  bool has_inner_memo_ = false;
+  uint64_t inner_memo_pages_ = 0;
   ExprPtr probe_;
   ExprPtr build_;
   std::map<Value, std::vector<size_t>, ValueLess> hash_;
   bool hash_built_ = false;
-  vm::BytecodeChunk pred_chunk_;
   vm::BytecodeChunk probe_chunk_;
   vm::BytecodeChunk build_chunk_;
 };

@@ -113,6 +113,29 @@ ExprPtr ExtractIndexProbe(const PTNode& node, const std::string& inner_binding,
   return probe;
 }
 
+JoinSide OperandSide(const Expr& e, const RowSchema& joined,
+                     size_t outer_width) {
+  if (e.kind() == ExprKind::kLiteral) return JoinSide::kNone;
+  if (e.kind() == ExprKind::kVarPath) {
+    int col = -1;
+    std::vector<std::string> rest;
+    if (!joined.ResolveVarPath(e.var(), e.path(), &col, &rest)) {
+      return JoinSide::kBoth;
+    }
+    return static_cast<size_t>(col) < outer_width ? JoinSide::kOuter
+                                                  : JoinSide::kInner;
+  }
+  JoinSide side = JoinSide::kNone;
+  for (const ExprPtr& c : e.children()) {
+    const JoinSide s =
+        c == nullptr ? JoinSide::kNone : OperandSide(*c, joined, outer_width);
+    if (s == JoinSide::kNone || s == side) continue;
+    if (side != JoinSide::kNone) return JoinSide::kBoth;
+    side = s;
+  }
+  return side;
+}
+
 bool HasForeignDelta(const PTNode& tree, const std::string& own) {
   if (tree.kind == PTKind::kDelta && tree.fix_name != own) return true;
   for (const auto& c : tree.children) {

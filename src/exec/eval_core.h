@@ -89,6 +89,20 @@ void NavigateBound(EvalContext* ctx, const Value& start, const BoundPath& path,
 ExprPtr ExtractIndexProbe(const PTNode& node, const std::string& inner_binding,
                           ExprPtr* residual_pred);
 
+/// Which input of a join an expression reads.
+enum class JoinSide { kNone, kOuter, kInner, kBoth };
+
+/// The one place that decides which join input an operand reads. Every
+/// variable path in `e` is resolved against `joined`, the join's output
+/// schema, whose first `outer_width` columns come from the outer input. A
+/// literal reads neither input; a path that no column resolves counts as
+/// kBoth, since neither input alone can evaluate it. Resolving an operand
+/// classified to one input against that input's own schema finds the same
+/// column (shifted by `outer_width` for the inner), so the operand can be
+/// compiled and evaluated against that input's rows alone.
+JoinSide OperandSide(const Expr& e, const RowSchema& joined,
+                     size_t outer_width);
+
 /// True when `tree` contains a delta leaf of a fixpoint other than `own` —
 /// such a subtree's value depends on the enclosing fixpoint's iteration
 /// state and must not be memoized.

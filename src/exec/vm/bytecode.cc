@@ -15,6 +15,8 @@ const char* OpCodeName(OpCode op) {
       return "LoadColumn";
     case OpCode::kNavigate:
       return "Navigate";
+    case OpCode::kLoadSlot:
+      return "LoadSlot";
     case OpCode::kArith:
       return "Arith";
     case OpCode::kCompare:
@@ -96,12 +98,22 @@ Status BytecodeChunk::Validate() const {
         if (in.d >= num_cols) return Malformed(ip, "column out of range");
         if (in.e >= paths.size()) return Malformed(ip, "path out of range");
         break;
+      case OpCode::kLoadSlot:
+        if (!vreg_ok(in.a)) return Malformed(ip, "value register out of range");
+        if (in.b > 1) return Malformed(ip, "bad join input");
+        if (in.d >= num_slots[in.b]) return Malformed(ip, "slot out of range");
+        break;
       case OpCode::kArith:
         if (!vreg_ok(in.a) || !vreg_ok(in.b) || !vreg_ok(in.c)) {
           return Malformed(ip, "value register out of range");
         }
         if (in.d > static_cast<uint32_t>(ArithOp::kSub)) {
           return Malformed(ip, "bad arithmetic operator");
+        }
+        // The result is built while the operands are read (in place, in a
+        // pair program), so it needs a register of its own.
+        if (in.a == in.b || in.a == in.c) {
+          return Malformed(ip, "arithmetic result overwrites an operand");
         }
         break;
       case OpCode::kCompare:
@@ -207,6 +219,10 @@ std::string BytecodeChunk::Disassemble() const {
       case OpCode::kNavigate:
         out += StrFormat(" v%u, col%u.%s", in.a, in.d,
                          PathText(paths[in.e].names).c_str());
+        break;
+      case OpCode::kLoadSlot:
+        out += StrFormat(" v%u, %s[%u]", in.a, in.b == 0 ? "outer" : "inner",
+                         in.d);
         break;
       case OpCode::kArith:
         out += StrFormat(" v%u, v%u %s v%u", in.a, in.b, ArithOpText(in.d),

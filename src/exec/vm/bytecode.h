@@ -1,6 +1,7 @@
 #ifndef RODIN_EXEC_VM_BYTECODE_H_
 #define RODIN_EXEC_VM_BYTECODE_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -30,6 +31,9 @@ enum class OpCode : uint8_t {
   kLoadNull,     // v[a] = {}                (EvalMulti of a null expression)
   kLoadColumn,   // v[a] = expand(row[d])   (nulls dropped, collections fanned)
   kNavigate,     // v[a] = navigate(row[d], paths[e])  — charges dereferences
+  kLoadSlot,     // v[a] = values of memo slot d of join input b (0 outer,
+                 //        1 inner); replays the slot's captured charges and
+                 //        method counts (pair programs only, see RunPairPred)
   kArith,        // v[a] = cross-product arith of v[b] (x) v[c]; d = ArithOp
   kCompare,      // b[a] = exists-compare of v[b] x v[c]; d = CompareOp
   kCmpColConst,  // b[a] = fused compare: row[c] (via paths[e] unless kNoPath)
@@ -86,6 +90,9 @@ struct BytecodeChunk {
   /// Width of the input rows the chunk was compiled against; column
   /// operands are validated against it.
   uint32_t num_cols = 0;
+  /// Memo slots per join input (outer, inner) that kLoadSlot may read;
+  /// zero outside a join's pair program.
+  std::array<uint32_t, 2> num_slots{};
 
   /// Interns `v` into the constant pool (exact Value equality).
   uint32_t AddConst(const Value& v);

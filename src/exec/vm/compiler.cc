@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/string_util.h"
 #include "exec/eval_core.h"
 #include "plan/pt_printer.h"
 
@@ -40,6 +41,16 @@ CompareOp Flipped(CompareOp op) {
   return op;
 }
 
+/// Split mode (CompileJoinPredicate): the one-input operands of a join
+/// predicate become memo slots instead of instructions.
+struct JoinSplit {
+  const RowSchema* outer;
+  const RowSchema* inner;
+  JoinPredicate* out;
+};
+
+BytecodeChunk Finish(BytecodeChunk chunk);
+
 /// Emits one expression tree into a chunk, mirroring EvalPred / EvalMulti
 /// node for node so the compiled program performs page charges and method
 /// invocations at identical points in identical order. Registers are
@@ -48,8 +59,9 @@ CompareOp Flipped(CompareOp op) {
 /// expression of a well-formed plan compiles.
 class Compiler {
  public:
-  Compiler(const RowSchema& schema, const Database& db, BytecodeChunk* chunk)
-      : schema_(schema), db_(db), chunk_(chunk) {
+  Compiler(const RowSchema& schema, const Database& db, BytecodeChunk* chunk,
+           const JoinSplit* split = nullptr)
+      : schema_(schema), db_(db), chunk_(chunk), split_(split) {
     // Column operands are at least 16 bits wide (CmpColConst's `c`).
     RODIN_CHECK(schema.cols.size() <= 0xffff, "row too wide");
     chunk_->num_cols = static_cast<uint32_t>(schema.cols.size());
@@ -160,15 +172,16 @@ class Compiler {
         // has no evaluation effects, so normalizing "literal op path" to
         // "path flipped-op literal" preserves the interpreted charge order
         // (the path side is still materialized in full before comparing).
+        // A pair program has no fused compare: its paths are all slots.
         int col = -1;
         std::vector<std::string> rest;
-        if (l->kind() == ExprKind::kVarPath &&
+        if (split_ == nullptr && l->kind() == ExprKind::kVarPath &&
             r->kind() == ExprKind::kLiteral) {
           Resolve(*l, &col, &rest);
           EmitCmpColConst(dst, pred->compare_op(), col, rest, r->literal());
           return;
         }
-        if (r->kind() == ExprKind::kVarPath &&
+        if (split_ == nullptr && r->kind() == ExprKind::kVarPath &&
             l->kind() == ExprKind::kLiteral) {
           Resolve(*r, &col, &rest);
           EmitCmpColConst(dst, Flipped(pred->compare_op()), col, rest,
@@ -213,6 +226,7 @@ class Compiler {
       Emit(OpCode::kLoadNull, dst);  // EvalMulti(null) is empty
       return;
     }
+    if (split_ != nullptr && EmitSlot(expr, dst)) return;
     switch (expr->kind()) {
       case ExprKind::kLiteral:
         Emit(OpCode::kLoadConst, dst, 0, 0, InternConst(expr->literal()));
@@ -255,6 +269,28 @@ class Compiler {
   }
 
  private:
+  /// Split mode: loads an operand that reads one join input only from a
+  /// fresh memo slot of that input. False for any other operand.
+  bool EmitSlot(const ExprPtr& expr, int dst) {
+    const JoinSide side =
+        OperandSide(*expr, schema_, split_->outer->cols.size());
+    if (side != JoinSide::kOuter && side != JoinSide::kInner) return false;
+    const int input = side == JoinSide::kOuter ? 0 : 1;
+    std::vector<BytecodeChunk>& slots =
+        input == 0 ? split_->out->outer_slots : split_->out->inner_slots;
+    BytecodeChunk slot;
+    Compiler c(input == 0 ? *split_->outer : *split_->inner, db_, &slot);
+    const int v = c.AllocV();
+    c.EmitMulti(expr, v);
+    c.Emit(OpCode::kRetValues, v);
+    RODIN_CHECK(slots.size() < kMaxPoolEntries, "slot table full");
+    Emit(OpCode::kLoadSlot, dst, input, 0,
+         static_cast<uint32_t>(slots.size()));
+    slots.push_back(Finish(std::move(slot)));
+    chunk_->num_slots[input] = static_cast<uint32_t>(slots.size());
+    return true;
+  }
+
   void EmitCmpColConst(int dst, CompareOp op, int col,
                        const std::vector<std::string>& rest,
                        const Value& literal) {
@@ -267,6 +303,7 @@ class Compiler {
   const RowSchema& schema_;
   const Database& db_;
   BytecodeChunk* chunk_;
+  const JoinSplit* split_;
   int next_v_ = 0;
   int next_b_ = 0;
 };
@@ -287,6 +324,30 @@ BytecodeChunk CompilePredicate(const ExprPtr& pred, const RowSchema& schema,
   c.EmitPred(pred, b);
   c.Emit(OpCode::kRetBool, b);
   return Finish(std::move(chunk));
+}
+
+JoinPredicate CompileJoinPredicate(const ExprPtr& pred, const RowSchema& outer,
+                                   const RowSchema& inner, const Database& db) {
+  JoinPredicate out;
+  RowSchema joined;
+  joined.cols = outer.cols;
+  joined.cols.insert(joined.cols.end(), inner.cols.begin(), inner.cols.end());
+  const JoinSplit split{&outer, &inner, &out};
+  Compiler c(joined, db, &out.pair, &split);
+  const int b = c.AllocB();
+  c.EmitPred(pred, b);
+  c.Emit(OpCode::kRetBool, b);
+  // Every path went to a slot, so the pair program reads no column:
+  // validating it against a zero-width row proves that.
+  out.pair.num_cols = 0;
+  out.pair = Finish(std::move(out.pair));
+  out.loads_every_slot = true;
+  for (const Instr& in : out.pair.code) {
+    if (in.op == OpCode::kJumpIfFalse || in.op == OpCode::kJumpIfTrue) {
+      out.loads_every_slot = false;
+    }
+  }
+  return out;
 }
 
 BytecodeChunk CompileMulti(const ExprPtr& expr, const RowSchema& schema,
@@ -364,10 +425,20 @@ void DisassembleNode(const PTNode& node, const Database& db, std::string* out) {
                       CompilePredicate(residual, schema, db));
         }
       } else if (node.pred != nullptr) {
-        RowSchema schema;
-        schema.cols = node.cols;
-        AppendChunk(out, node, "predicate",
-                    CompilePredicate(node.pred, schema, db));
+        RowSchema outer, inner;
+        outer.cols = node.children[0]->cols;
+        inner.cols = node.children[1]->cols;
+        const JoinPredicate jp =
+            CompileJoinPredicate(node.pred, outer, inner, db);
+        for (size_t k = 0; k < jp.outer_slots.size(); ++k) {
+          AppendChunk(out, node, StrFormat("outer slot %zu", k).c_str(),
+                      jp.outer_slots[k]);
+        }
+        for (size_t k = 0; k < jp.inner_slots.size(); ++k) {
+          AppendChunk(out, node, StrFormat("inner slot %zu", k).c_str(),
+                      jp.inner_slots[k]);
+        }
+        AppendChunk(out, node, "pair", jp.pair);
       }
       break;
     }

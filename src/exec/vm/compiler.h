@@ -41,6 +41,29 @@ BytecodeChunk CompileMulti(const ExprPtr& expr, const RowSchema& schema,
 BytecodeChunk CompileProjection(const std::vector<OutCol>& proj,
                                 const RowSchema& schema, const Database& db);
 
+/// A nested-loop join predicate split for pair-at-a-time evaluation. Every
+/// maximal operand that reads one input only (see OperandSide) is a memo
+/// slot: a multi-value program compiled against that input's schema, run
+/// once per row of that input. `pair` is the rest of the predicate; it
+/// reads the slots through kLoadSlot, in the order the interpreter
+/// evaluates the operands, and never reads a column, so a pair needs no
+/// joined row. Operands that mix both inputs (`i.gen + x.birthyear`) stay
+/// pair instructions over the slots of their one-input parts.
+struct JoinPredicate {
+  std::vector<BytecodeChunk> outer_slots;
+  std::vector<BytecodeChunk> inner_slots;
+  BytecodeChunk pair;
+  /// The pair program has no jump, so every run loads every slot once, in
+  /// slot order: a pair replays all of its outer row's slot charges, then
+  /// all of its inner row's.
+  bool loads_every_slot = false;
+};
+
+/// Splits and compiles the predicate of a join whose output schema is
+/// `outer`'s columns followed by `inner`'s (null = always true).
+JoinPredicate CompileJoinPredicate(const ExprPtr& pred, const RowSchema& outer,
+                                   const RowSchema& inner, const Database& db);
+
 /// Renders every chunk the batched engine runs for `plan`, one block per
 /// operator expression (selection predicates, projection lists, index-join
 /// probes and residuals, join predicates), mirroring the engine's operator

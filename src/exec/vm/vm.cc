@@ -1,9 +1,62 @@
 #include "exec/vm/vm.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "query/expr.h"
 
 namespace rodin::vm {
+
+void SlotMemo::Clear(size_t num_slots) {
+  num_slots_ = num_slots;
+  values_.clear();
+  spans_.clear();
+  value_off_.assign(1, 0);
+  span_off_.assign(1, 0);
+  method_calls_.clear();
+  method_cost_fp_.clear();
+  all_.clear();
+  all_calls_ = 0;
+  all_cost_fp_ = 0;
+}
+
+void SlotMemo::Capture(const std::vector<BytecodeChunk>& slots,
+                       const Database* db, const Row& row,
+                       VmScratch* scratch) {
+  RODIN_CHECK(slots.size() == num_slots_, "slot count changed under a memo");
+  for (const BytecodeChunk& chunk : slots) {
+    capture_.clear();
+    uint64_t evals = 0, calls = 0, cost_fp = 0;
+    EvalContext ec{db, &capture_, &evals, &calls, &cost_fp, scratch};
+    const std::vector<Value>& vals = RunMulti(chunk, &ec, row, scratch);
+    values_.insert(values_.end(), vals.begin(), vals.end());
+    spans_.insert(spans_.end(), capture_.spans().begin(),
+                  capture_.spans().end());
+    value_off_.push_back(values_.size());
+    span_off_.push_back(spans_.size());
+    method_calls_.push_back(calls);
+    method_cost_fp_.push_back(cost_fp);
+    all_.Append(capture_);
+    all_calls_ += calls;
+    all_cost_fp_ += cost_fp;
+  }
+}
+
+void SlotMemo::Replay(size_t row, size_t slot, EvalContext* ctx) const {
+  const size_t k = row * num_slots_ + slot;
+  for (size_t i = span_off_[k]; i < span_off_[k + 1]; ++i) {
+    const ChargeLog::Span& sp = spans_[i];
+    ctx->charger->ChargeRun(sp.first, sp.count, sp.step);
+  }
+  *ctx->method_calls += method_calls_[k];
+  *ctx->method_cost_fp += method_cost_fp_[k];
+}
+
+void SlotMemo::ReplayAll(EvalContext* ctx) const {
+  all_.ReplayInto(ctx->charger);
+  *ctx->method_calls += all_calls_;
+  *ctx->method_cost_fp += all_cost_fp_;
+}
 
 namespace {
 
@@ -41,7 +94,51 @@ inline bool FastCompare(CompareOp op, const Value& a, const Value& b) {
   if (a.is_string() && b.is_string()) {
     return ApplyCmp(op, a.AsString().compare(b.AsString()));
   }
+  if (a.is_ref() && b.is_ref()) {
+    const Oid x = a.AsRef();
+    const Oid y = b.AsRef();
+    return ApplyCmp(op, x == y ? 0 : (x < y ? -1 : 1));
+  }
   return ApplyCmp(op, a.Compare(b));
+}
+
+/// The bodies of the value instructions both dispatch loops share; `L` and
+/// `R` are a register's vector or a ValueSpan.
+template <class L, class R>
+inline void ArithInto(ArithOp op, const L& l, const R& r,
+                      std::vector<Value>* dst) {
+  dst->clear();
+  const bool add = op == ArithOp::kAdd;
+  for (const Value& a : l) {
+    for (const Value& b : r) {
+      if (a.is_int() && b.is_int()) {
+        dst->push_back(
+            Value::Int(add ? a.AsInt() + b.AsInt() : a.AsInt() - b.AsInt()));
+      } else {
+        const double x = a.AsNumber();
+        const double y = b.AsNumber();
+        dst->push_back(Value::Real(add ? x + y : x - y));
+      }
+    }
+  }
+}
+
+template <class L, class R>
+inline bool AnyCompare(CompareOp op, const L& l, const R& r) {
+  for (const Value& a : l) {
+    for (const Value& b : r) {
+      if (FastCompare(op, a, b)) return true;
+    }
+  }
+  return false;
+}
+
+template <class V>
+inline bool AnyTrue(const V& vals) {
+  for (const Value& v : vals) {
+    if (v.is_bool() && v.AsBool()) return true;
+  }
+  return false;
 }
 
 enum class RetKind { kBool, kValues, kProj };
@@ -88,43 +185,17 @@ RunResult Run(const BytecodeChunk& chunk, EvalContext* ctx, const Row& row,
         NavigateBound(ctx, row[in.d], chunk.paths[in.e], 0, &dst);
         break;
       }
-      case OpCode::kArith: {
-        const auto& l = vregs[in.b];
-        const auto& r = vregs[in.c];
-        auto& dst = vregs[in.a];
-        dst.clear();
-        const bool add = static_cast<ArithOp>(in.d) == ArithOp::kAdd;
-        for (const Value& a : l) {
-          for (const Value& b : r) {
-            if (a.is_int() && b.is_int()) {
-              dst.push_back(Value::Int(add ? a.AsInt() + b.AsInt()
-                                           : a.AsInt() - b.AsInt()));
-            } else {
-              const double x = a.AsNumber();
-              const double y = b.AsNumber();
-              dst.push_back(Value::Real(add ? x + y : x - y));
-            }
-          }
-        }
+      case OpCode::kLoadSlot:
+        RODIN_CHECK(false, "memo slot outside a pair program");
         break;
-      }
-      case OpCode::kCompare: {
-        const auto& l = vregs[in.b];
-        const auto& r = vregs[in.c];
-        const CompareOp op = static_cast<CompareOp>(in.d);
-        bool res = false;
-        for (const Value& a : l) {
-          for (const Value& b : r) {
-            if (FastCompare(op, a, b)) {
-              res = true;
-              break;
-            }
-          }
-          if (res) break;
-        }
-        bregs[in.a] = res;
+      case OpCode::kArith:
+        ArithInto(static_cast<ArithOp>(in.d), vregs[in.b], vregs[in.c],
+                  &vregs[in.a]);
         break;
-      }
+      case OpCode::kCompare:
+        bregs[in.a] =
+            AnyCompare(static_cast<CompareOp>(in.d), vregs[in.b], vregs[in.c]);
+        break;
       case OpCode::kCmpColConst: {
         const Value& cv = row[in.c];
         const Value& lit = chunk.consts[in.d];
@@ -162,17 +233,9 @@ RunResult Run(const BytecodeChunk& chunk, EvalContext* ctx, const Row& row,
         bregs[in.a] = res;
         break;
       }
-      case OpCode::kAnyTrue: {
-        bool res = false;
-        for (const Value& v : vregs[in.b]) {
-          if (v.is_bool() && v.AsBool()) {
-            res = true;
-            break;
-          }
-        }
-        bregs[in.a] = res;
+      case OpCode::kAnyTrue:
+        bregs[in.a] = AnyTrue(vregs[in.b]);
         break;
-      }
       case OpCode::kBoolValue: {
         auto& dst = vregs[in.a];
         dst.clear();
@@ -201,7 +264,113 @@ RunResult Run(const BytecodeChunk& chunk, EvalContext* ctx, const Row& row,
   }
 }
 
+/// The dispatch loop of pair programs (see CompileJoinPredicate), which
+/// read memo slots and never a column. Value operands are read through
+/// `s->views`: kLoadSlot points its register's view at the memo entry in
+/// place, every other value instruction at its own register. The views are
+/// reset per run, so a register no instruction of this run wrote reads as
+/// empty, never as a span into an earlier run's memo.
+[[gnu::always_inline]] inline bool RunPair(const BytecodeChunk& chunk,
+                                           EvalContext* ctx,
+                                           const PairSlots& slots,
+                                           VmScratch* s) {
+  ++s->rows;
+  auto& vregs = s->vregs;
+  auto& bregs = s->bregs;
+  ValueSpan* views = s->views.data();
+  std::fill_n(views, chunk.num_value_regs, ValueSpan{});
+  auto own = [&](uint16_t r) {
+    views[r] = ValueSpan{vregs[r].data(), vregs[r].data() + vregs[r].size()};
+  };
+  size_t ip = 0;
+  while (true) {
+    const Instr& in = chunk.code[ip];
+    if (s->opcode_hits != nullptr) {
+      ++(*s->opcode_hits)[static_cast<size_t>(in.op)];
+    }
+    ++ip;
+    switch (in.op) {
+      case OpCode::kLoadConst: {
+        auto& dst = vregs[in.a];
+        dst.clear();
+        dst.push_back(chunk.consts[in.d]);
+        own(in.a);
+        break;
+      }
+      case OpCode::kLoadNull:
+        views[in.a] = ValueSpan{};
+        break;
+      case OpCode::kLoadSlot: {
+        const SlotMemo* memo = slots.memo[in.b];
+        RODIN_CHECK(memo != nullptr, "pair program without its memo");
+        if (slots.replay) memo->Replay(slots.row[in.b], in.d, ctx);
+        views[in.a] = memo->Values(slots.row[in.b], in.d);
+        break;
+      }
+      case OpCode::kArith:
+        ArithInto(static_cast<ArithOp>(in.d), views[in.b], views[in.c],
+                  &vregs[in.a]);
+        own(in.a);
+        break;
+      case OpCode::kCompare:
+        bregs[in.a] =
+            AnyCompare(static_cast<CompareOp>(in.d), views[in.b], views[in.c]);
+        break;
+      case OpCode::kAnyTrue:
+        bregs[in.a] = AnyTrue(views[in.b]);
+        break;
+      case OpCode::kBoolValue: {
+        auto& dst = vregs[in.a];
+        dst.clear();
+        dst.push_back(Value::Bool(bregs[in.b] != 0));
+        own(in.a);
+        break;
+      }
+      case OpCode::kLoadBool:
+        bregs[in.a] = in.d != 0 ? 1 : 0;
+        break;
+      case OpCode::kNot:
+        bregs[in.a] = bregs[in.b] != 0 ? 0 : 1;
+        break;
+      case OpCode::kJumpIfFalse:
+        if (bregs[in.a] == 0) ip = in.d;
+        break;
+      case OpCode::kJumpIfTrue:
+        if (bregs[in.a] != 0) ip = in.d;
+        break;
+      case OpCode::kRetBool:
+        return bregs[in.a] != 0;
+      default:
+        RODIN_CHECK(false, "instruction outside a pair program");
+        return false;
+    }
+  }
+}
+
+void PreparePair(const BytecodeChunk& chunk, VmScratch* s) {
+  s->Prepare(chunk);
+  if (s->views.size() < chunk.num_value_regs) {
+    s->views.resize(chunk.num_value_regs);
+  }
+}
+
 }  // namespace
+
+void RunPairs(const BytecodeChunk& chunk, EvalContext* ctx, PairSlots slots,
+              size_t num_inner, std::vector<size_t>* matches,
+              VmScratch* scratch) {
+  PreparePair(chunk, scratch);
+  for (size_t r = 0; r < num_inner; ++r) {
+    slots.row[1] = r;
+    if (RunPair(chunk, ctx, slots, scratch)) matches->push_back(r);
+  }
+}
+
+bool RunPairPred(const BytecodeChunk& chunk, EvalContext* ctx,
+                 const PairSlots& slots, VmScratch* scratch) {
+  PreparePair(chunk, scratch);
+  return RunPair(chunk, ctx, slots, scratch);
+}
 
 bool RunPred(const BytecodeChunk& chunk, EvalContext* ctx, const Row& row,
              VmScratch* scratch) {

@@ -78,12 +78,16 @@ class ChargeLog final : public PageCharger {
     for (const Span& s : spans_) sink->ChargeRun(s.first, s.count, s.step);
   }
 
- private:
   struct Span {
     PageId first;
     uint32_t count;  // charges first, first+step, ..., first+(count-1)*step
     uint32_t step;   // 0 = repeated page, 1 = ascending run
   };
+
+  /// The recorded runs, in order (a span replays as one ChargeRun).
+  const std::vector<Span>& spans() const { return spans_; }
+
+ private:
 
   static constexpr uint32_t kMaxCount = ~uint32_t{0};
 

@@ -156,12 +156,6 @@ const Database::MethodFn* Database::FindMethod(const ClassDef* cls,
   return nullptr;
 }
 
-Value Database::InvokeMethod(Oid oid, const std::string& attr) const {
-  const MethodFn* fn = FindMethod(InfoOf(oid)->cls, attr);
-  RODIN_CHECK(fn != nullptr, "no method registered for attribute");
-  return (*fn)(*this, oid);
-}
-
 Value Database::GetRaw(Oid oid, const std::string& attr) const {
   const ExtentInfo* info = InfoOf(oid);
   const int field = FieldIndex(info->extent->name(), attr);
@@ -851,23 +845,9 @@ void Database::Finalize(PhysicalConfig config) {
   finalized_ = true;
 }
 
-void Database::ChargeRecordAccess(Oid oid) {
-  ChargeRecordAccess(oid, pool_.get());
-}
-
 void Database::ChargeRecordAccess(Oid oid, PageCharger* charger) const {
   RODIN_CHECK(finalized_, "charged access before Finalize");
   charger->Charge(InfoOf(oid)->extent->PageOf(oid.slot, 0));
-}
-
-void Database::ScanEntity(
-    const EntityRef& ref,
-    const std::function<void(Oid, const std::vector<Value>&)>& fn) {
-  const ScanSource src = ResolveScan(ref);
-  for (uint32_t slot : *src.slots) {
-    pool_->Fetch(src.extent->PageOf(slot, src.vfrag));
-    fn(Oid{src.base_class, slot}, src.extent->Record(slot));
-  }
 }
 
 Database::ScanSource Database::ResolveScan(const EntityRef& ref) const {

@@ -163,23 +163,16 @@ class Database {
 
   // --- Charged access (executor) -------------------------------------------
   //
-  // Each accessor has two forms: the original one charging the database's
-  // own buffer pool, and a const overload charging an arbitrary PageCharger.
-  // The charger form is what the batched executor's worker morsels use (each
-  // morsel records into its own ChargeLog; the logs are replayed into the
-  // pool later, in canonical order), so it must be safe to call from many
-  // threads at once as long as each thread brings its own charger. Field
-  // reads are charged through FieldBinding (see eval_core's navigation).
+  // Accessors charge an arbitrary PageCharger, not the database's own pool:
+  // the batched executor's worker morsels each record into their own
+  // ChargeLog and the logs are replayed into the pool later, in canonical
+  // order, so these must be safe to call from many threads at once as long
+  // as each thread brings its own charger. Field reads are charged through
+  // FieldBinding (see eval_core's navigation).
 
   /// Charges the page holding record `oid`'s primary (vfrag 0) fragment:
   /// the access an object dereference or a method's receiver read costs.
-  void ChargeRecordAccess(Oid oid);
   void ChargeRecordAccess(Oid oid, PageCharger* charger) const;
-
-  /// Sequentially scans atomic entity `e`, invoking `fn(oid, record)` for
-  /// every record; pages are charged in scan order.
-  void ScanEntity(const EntityRef& e,
-                  const std::function<void(Oid, const std::vector<Value>&)>& fn);
 
   /// Resolved scan coordinates of an atomic entity: the slot list (in scan
   /// order) plus everything needed to charge and address each record. Lets
@@ -198,12 +191,6 @@ class Database {
   uint64_t EntityPages(const EntityRef& e) const;
   /// Records in `e`.
   uint64_t EntityInstances(const EntityRef& e) const;
-
-  // --- Methods --------------------------------------------------------------
-
-  /// Invokes a computed attribute. Charges nothing itself; the executor
-  /// accounts for the invocation using the attribute's method_cost.
-  Value InvokeMethod(Oid oid, const std::string& attr) const;
 
   // --- Indices ---------------------------------------------------------------
 

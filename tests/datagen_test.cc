@@ -5,6 +5,7 @@
 #include "datagen/graph_gen.h"
 #include "datagen/music_gen.h"
 #include "datagen/parts_gen.h"
+#include "support/db_access.h"
 
 namespace rodin {
 namespace {
@@ -115,7 +116,7 @@ TEST(MusicGenTest, AgeMethodWorks) {
   GeneratedDb g = GenerateMusicDb(MusicConfig{}, PaperMusicPhysical());
   const ClassDef* cls = g.schema->FindClass("Composer");
   Oid c{cls->id(), 0};
-  const int64_t age = g.db->InvokeMethod(c, "age").AsInt();
+  const int64_t age = InvokeMethod(*g.db, c, "age").AsInt();
   const int64_t birth = g.db->GetRaw(c, "birthyear").AsInt();
   EXPECT_EQ(age, 1992 - birth);
 }
@@ -162,7 +163,7 @@ TEST(PartsGenTest, AssemblyCostMethod) {
   GeneratedDb g = GeneratePartsDb(PartsConfig{}, DefaultPartsPhysical());
   const ClassDef* cls = g.schema->FindClass("Part");
   Oid p{cls->id(), g.db->FindExtent("Part")->size() - 1};  // a top-level part
-  const int64_t cost = g.db->InvokeMethod(p, "assembly_cost").AsInt();
+  const int64_t cost = InvokeMethod(*g.db, p, "assembly_cost").AsInt();
   EXPECT_GE(cost, g.db->GetRaw(p, "unit_cost").AsInt());
 }
 

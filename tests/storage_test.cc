@@ -7,6 +7,7 @@
 
 #include "catalog/schema.h"
 #include "storage/database.h"
+#include "support/db_access.h"
 
 namespace rodin {
 namespace {
@@ -126,7 +127,7 @@ TEST_F(StorageTest, ChargedAccessFetchesPages) {
   auto db = Populate(100, PhysicalConfig{});
   const ClassDef* owner = schema_.FindClass("Owner");
   const auto before = db->buffer_pool().stats().fetches;
-  db->ChargeRecordAccess(Oid{owner->id(), 5});
+  ChargeRecordAccess(db.get(), Oid{owner->id(), 5});
   EXPECT_EQ(db->buffer_pool().stats().fetches, before + 1);
 }
 
@@ -153,8 +154,8 @@ TEST_F(StorageTest, ScanEntityChargesEveryPageOnce) {
   auto db = Populate(1000, PhysicalConfig{});
   db->buffer_pool().Clear();
   size_t rows = 0;
-  db->ScanEntity(EntityRef{"Owner", 0, 0},
-                 [&](Oid, const std::vector<Value>&) { ++rows; });
+  ScanEntity(db.get(), EntityRef{"Owner", 0, 0},
+             [&](Oid, const std::vector<Value>&) { ++rows; });
   EXPECT_EQ(rows, 1000u);
   EXPECT_EQ(db->buffer_pool().stats().misses,
             db->FindExtent("Owner")->ScanPages(0, 0).size());
@@ -197,7 +198,7 @@ TEST_F(StorageTest, MethodsRegisterAndInvoke) {
   EXPECT_EQ((*doubled.method)(*db, o).AsInt(), 42);
   EXPECT_EQ(db->BindField(db->ExtentIndexOf(o), "k").kind,
             Database::FieldBinding::Kind::kStored);
-  EXPECT_EQ(db->InvokeMethod(o, "doubled").AsInt(), 42);
+  EXPECT_EQ(InvokeMethod(*db, o, "doubled").AsInt(), 42);
 }
 
 TEST_F(StorageTest, RecordBytesOverrideInflatesPages) {

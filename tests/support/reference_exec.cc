@@ -7,6 +7,7 @@
 
 #include "catalog/schema.h"
 #include "common/check.h"
+#include "support/db_access.h"
 
 namespace rodin {
 
@@ -61,7 +62,7 @@ void Navigate(EvalContext* ctx, const Value& start,
     ++*ctx->method_calls;
     *ctx->method_cost_fp += MethodCostToFp(a->method_cost);
     db.ChargeRecordAccess(oid, ctx->charger);
-    Navigate(ctx, db.InvokeMethod(oid, attr), path, step + 1, out);
+    Navigate(ctx, InvokeMethod(db, oid, attr), path, step + 1, out);
     return;
   }
   const int field = db.FieldIndex(extent, attr);
@@ -234,7 +235,7 @@ Table ReferenceExecutor::Eval(const PTNode& node) {
 Table ReferenceExecutor::EvalEntity(const PTNode& node) {
   Table out;
   out.schema.cols = node.cols;
-  db_->ScanEntity(node.entity, [&](Oid oid, const std::vector<Value>&) {
+  ScanEntity(db_, node.entity, [&](Oid oid, const std::vector<Value>&) {
     out.rows.push_back({Value::Ref(oid)});
   });
   return out;
@@ -286,7 +287,7 @@ Table ReferenceExecutor::EvalSel(const PTNode& node) {
     }
     for (uint64_t p : payloads) {
       const Oid oid = db_->PayloadToOid(child.entity.extent, p);
-      db_->ChargeRecordAccess(oid);
+      ChargeRecordAccess(db_, oid);
       Row row = {Value::Ref(oid)};
       ++counters_.predicate_evals;
       if (EvalPred(&ec, out.schema, row, node.pred)) {
@@ -298,7 +299,7 @@ Table ReferenceExecutor::EvalSel(const PTNode& node) {
 
   if (child.kind == PTKind::kEntity) {
     // Fused scan + filter: one pass over the extent (Figure 5's Sel(C)).
-    db_->ScanEntity(child.entity, [&](Oid oid, const std::vector<Value>&) {
+    ScanEntity(db_, child.entity, [&](Oid oid, const std::vector<Value>&) {
       Row row = {Value::Ref(oid)};
       ++counters_.predicate_evals;
       if (EvalPred(&ec, out.schema, row, node.pred)) {
@@ -380,7 +381,7 @@ Table ReferenceExecutor::EvalEJ(const PTNode& node) {
             node.join_index->Lookup(key, &db_->buffer_pool());
         for (uint64_t p : payloads) {
           const Oid oid = db_->PayloadToOid(right_node.entity.extent, p);
-          db_->ChargeRecordAccess(oid);
+          ChargeRecordAccess(db_, oid);
           Row row = lrow;
           row.push_back(Value::Ref(oid));
           ++counters_.predicate_evals;
@@ -457,7 +458,7 @@ Table ReferenceExecutor::EvalIJ(const PTNode& node) {
     }
     for (const Value& t : targets) {
       if (!t.is_ref()) continue;
-      db_->ChargeRecordAccess(t.AsRef());
+      ChargeRecordAccess(db_, t.AsRef());
       Row r = row;
       r.push_back(t);
       out.rows.push_back(std::move(r));

@@ -10,6 +10,8 @@
 //     (tests/support/reference_exec.h), comparing results, method
 //     counters AND the exact page-charge sequence (bound navigation runs
 //     inside the VM, so every dereference must land in the same order).
+//     Join predicates over two variables are also split into memo slots and
+//     a pair program, which must replay each pair's charges exactly.
 //
 //  2. Query-level: randomized SPJ and recursive queries optimized and
 //     executed by the batched engine (every expression compiled) over batch
@@ -119,13 +121,28 @@ CompareOp RandomCmpOp(Rng* rng) {
   return kOps[rng->Below(6)];
 }
 
-ExprPtr GenValue(Rng* rng, int depth);
-ExprPtr GenPred(Rng* rng, int depth);
+/// The range variables a generated expression may read. A join predicate
+/// reads two; every other program reads "x" alone.
+using Vars = std::vector<std::string>;
+
+const Vars& OneVar() {
+  static const Vars kX = {"x"};
+  return kX;
+}
+
+/// Picks a variable, drawing from `rng` only when there is a choice (so
+/// single-variable corpora are those of a generator without the choice).
+const std::string& PickVar(Rng* rng, const Vars& vars) {
+  return vars.size() == 1 ? vars[0] : vars[rng->Below(vars.size())];
+}
+
+ExprPtr GenValue(Rng* rng, int depth, const Vars& vars = OneVar());
+ExprPtr GenPred(Rng* rng, int depth, const Vars& vars = OneVar());
 
 /// Arithmetic operands must be numeric — Value::AsNumber asserts on
 /// strings/bools/nulls in the interpreter and the VM alike, exactly like
 /// the type-checked queries the builder produces.
-ExprPtr GenNumeric(Rng* rng, int depth) {
+ExprPtr GenNumeric(Rng* rng, int depth, const Vars& vars) {
   const uint64_t pick = rng->Below(depth <= 0 ? 2 : 3);
   switch (pick) {
     case 0:
@@ -135,42 +152,45 @@ ExprPtr GenNumeric(Rng* rng, int depth) {
     case 1: {
       static const std::vector<std::vector<std::string>> kNumericPaths = {
           {"birthyear"}, {"age"}, {"master", "birthyear"}};
-      return Expr::Path("x", kNumericPaths[rng->Below(3)]);
+      const std::vector<std::string>& path = kNumericPaths[rng->Below(3)];
+      return Expr::Path(PickVar(rng, vars), path);
     }
     default:
       return Expr::Arith(rng->Chance(0.5) ? ArithOp::kAdd : ArithOp::kSub,
-                         GenNumeric(rng, depth - 1),
-                         GenNumeric(rng, depth - 1));
+                         GenNumeric(rng, depth - 1, vars),
+                         GenNumeric(rng, depth - 1, vars));
   }
 }
 
-ExprPtr GenValue(Rng* rng, int depth) {
+ExprPtr GenValue(Rng* rng, int depth, const Vars& vars) {
   const uint64_t pick = rng->Below(depth <= 0 ? 2 : 4);
   switch (pick) {
     case 0:
       return Expr::Lit(RandomLiteral(rng));
     case 1: {
       const auto& paths = ComposerPaths();
-      return Expr::Path("x", paths[rng->Below(paths.size())]);
+      const std::vector<std::string>& path = paths[rng->Below(paths.size())];
+      return Expr::Path(PickVar(rng, vars), path);
     }
     case 2:
       return Expr::Arith(rng->Chance(0.5) ? ArithOp::kAdd : ArithOp::kSub,
-                         GenNumeric(rng, depth - 1),
-                         GenNumeric(rng, depth - 1));
+                         GenNumeric(rng, depth - 1, vars),
+                         GenNumeric(rng, depth - 1, vars));
     default:
       // A predicate in value position (EvalMulti yields a single Bool).
-      return GenPred(rng, depth - 1);
+      return GenPred(rng, depth - 1, vars);
   }
 }
 
-ExprPtr GenPred(Rng* rng, int depth) {
+ExprPtr GenPred(Rng* rng, int depth, const Vars& vars) {
   const uint64_t pick = rng->Below(depth <= 0 ? 3 : 6);
   switch (pick) {
     case 0: {
       // Biased toward path-vs-literal (the fused-compare fast path), with
       // the literal on either side.
       const auto& paths = ComposerPaths();
-      ExprPtr path = Expr::Path("x", paths[rng->Below(paths.size())]);
+      const std::vector<std::string>& steps = paths[rng->Below(paths.size())];
+      ExprPtr path = Expr::Path(PickVar(rng, vars), steps);
       ExprPtr lit = Expr::Lit(RandomLiteral(rng));
       return rng->Chance(0.5)
                  ? Expr::Cmp(RandomCmpOp(rng), std::move(path), std::move(lit))
@@ -179,25 +199,28 @@ ExprPtr GenPred(Rng* rng, int depth) {
     }
     case 1:
       // General compare: arbitrary value expressions on both sides.
-      return Expr::Cmp(RandomCmpOp(rng), GenValue(rng, depth - 1),
-                       GenValue(rng, depth - 1));
-    case 2:
-      return rng->Chance(0.5)
-                 ? Expr::Lit(RandomLiteral(rng))
-                 : Expr::Path("x", ComposerPaths()[rng->Below(
-                                       ComposerPaths().size())]);
+      return Expr::Cmp(RandomCmpOp(rng), GenValue(rng, depth - 1, vars),
+                       GenValue(rng, depth - 1, vars));
+    case 2: {
+      if (rng->Chance(0.5)) return Expr::Lit(RandomLiteral(rng));
+      const auto& paths = ComposerPaths();
+      const std::vector<std::string>& steps = paths[rng->Below(paths.size())];
+      return Expr::Path(PickVar(rng, vars), steps);
+    }
     case 3: {
       std::vector<ExprPtr> kids;
       const int n = 2 + static_cast<int>(rng->Below(2));
-      for (int i = 0; i < n; ++i) kids.push_back(GenPred(rng, depth - 1));
+      for (int i = 0; i < n; ++i) {
+        kids.push_back(GenPred(rng, depth - 1, vars));
+      }
       return rng->Chance(0.5) ? Expr::And(std::move(kids))
                               : Expr::Or(std::move(kids));
     }
     case 4:
-      return Expr::Not(GenPred(rng, depth - 1));
+      return Expr::Not(GenPred(rng, depth - 1, vars));
     default:
-      return Expr::Arith(ArithOp::kAdd, GenNumeric(rng, depth - 1),
-                         GenNumeric(rng, depth - 1));  // bare arith: false
+      return Expr::Arith(ArithOp::kAdd, GenNumeric(rng, depth - 1, vars),
+                         GenNumeric(rng, depth - 1, vars));  // bare arith: false
   }
 }
 
@@ -330,6 +353,92 @@ TEST_F(VmExpressionFuzz, ProjectionProgramsMatchInterpreter) {
           << chunk.Disassemble();
     }
   }
+}
+
+TEST_F(VmExpressionFuzz, PairProgramsMatchInterpreter) {
+  // Join predicates over x (outer) and y (inner), split into memo slots and
+  // a pair program. Per pair, the pair program over the captured slots must
+  // do exactly what the interpreter does on the joined row: same result,
+  // method counts and charge sequence. RunPairs over a whole inner loop
+  // must match the per-pair runs concatenated, and so must replaying the
+  // inner memo in entry order ahead of the loop whenever the program loads
+  // every slot and the outer row's slots charged nothing.
+  const uint64_t seed = 377 + TestSeedBase();
+  Rng rng(seed);
+  RowSchema outer_schema = schema_;
+  RowSchema inner_schema;
+  inner_schema.cols = {{"y", g_.schema->FindClass("Composer")}};
+  RowSchema joined = outer_schema;
+  joined.cols.push_back(inner_schema.cols[0]);
+  const std::vector<Row> outer_rows(rows_.begin(), rows_.begin() + 6);
+  constexpr int kPrograms = 120;
+  size_t blocks = 0, matched_loops = 0, mixed = 0;
+  for (int prog = 0; prog < kPrograms; ++prog) {
+    const ExprPtr pred = GenPred(&rng, 3, {"x", "y"});
+    const vm::JoinPredicate jp =
+        vm::CompileJoinPredicate(pred, outer_schema, inner_schema, *g_.db);
+    auto where = [&](size_t o) {
+      std::string out = "seed=" + std::to_string(seed) +
+                        " (RODIN_TEST_SEED shifts) program=" +
+                        std::to_string(prog) + " outer=" + std::to_string(o) +
+                        "\npred: " + pred->ToString() + "\n" +
+                        jp.pair.Disassemble();
+      return out;
+    };
+    if (!jp.outer_slots.empty() && !jp.inner_slots.empty()) ++mixed;
+    vm::VmScratch scratch;
+    vm::SlotMemo inner;
+    inner.Clear(jp.inner_slots.size());
+    for (const Row& row : rows_) {
+      inner.Capture(jp.inner_slots, g_.db.get(), row, &scratch);
+    }
+    for (size_t o = 0; o < outer_rows.size(); ++o) {
+      vm::SlotMemo outer;
+      outer.Clear(jp.outer_slots.size());
+      outer.Capture(jp.outer_slots, g_.db.get(), outer_rows[o], &scratch);
+      vm::PairSlots slots;
+      slots.memo = {&outer, &inner};
+      EvalFingerprint loop_want;
+      for (size_t r = 0; r < rows_.size(); ++r) {
+        const Row row{outer_rows[o][0], rows_[r][0]};
+        const EvalFingerprint want = Observe(nullptr, [&](EvalContext* ctx) {
+          return std::string(EvalPred(ctx, joined, row, pred) ? "T" : "F");
+        });
+        slots.row = {0, r};
+        const EvalFingerprint got = Observe(&scratch, [&](EvalContext* ctx) {
+          return std::string(
+              vm::RunPairPred(jp.pair, ctx, slots, &scratch) ? "T" : "F");
+        });
+        ASSERT_EQ(got, want) << where(o) << " inner=" << r;
+        if (want.result == "T") loop_want.result += std::to_string(r) + ",";
+        loop_want.method_calls += want.method_calls;
+        loop_want.method_cost_fp += want.method_cost_fp;
+        loop_want.charges.insert(loop_want.charges.end(), want.charges.begin(),
+                                 want.charges.end());
+      }
+      const bool block = jp.loads_every_slot && outer.quiet();
+      blocks += block ? 1 : 0;
+      matched_loops += loop_want.result.empty() ? 0 : 1;
+      for (bool ahead : {false, true}) {
+        if (ahead && !block) continue;
+        slots.replay = !ahead;
+        const EvalFingerprint loop = Observe(&scratch, [&](EvalContext* ctx) {
+          if (ahead) inner.ReplayAll(ctx);
+          std::vector<size_t> matches;
+          vm::RunPairs(jp.pair, ctx, slots, rows_.size(), &matches,
+                       &scratch);
+          std::string out;
+          for (size_t r : matches) out += std::to_string(r) + ",";
+          return out;
+        });
+        ASSERT_EQ(loop, loop_want) << where(o) << " ahead=" << ahead;
+      }
+    }
+  }
+  // The corpus reaches every path it is meant to check.
+  EXPECT_GT(mixed, 10u);  // programs with slots of both inputs
+  EXPECT_GT(blocks, 10u);
+  EXPECT_GT(matched_loops, 10u);
 }
 
 // --- Layer 2: whole queries across the batch/thread matrix -----------------

@@ -109,18 +109,37 @@ TEST_F(VmTest, EveryOpcodeExecutes) {
   const vm::BytecodeChunk proj_chunk =
       vm::CompileProjection(proj, schema_, *g_.db);
 
+  // Pair program of a join of x with y: one memo slot per input
+  // (LoadSlot), each captured once per row.
+  RowSchema inner;
+  inner.cols = {{"y", g_.schema->FindClass("Composer")}};
+  const vm::JoinPredicate join = vm::CompileJoinPredicate(
+      Expr::Eq(Expr::Path("x", {"master"}), Expr::Path("y", {})), schema_,
+      inner, *g_.db);
+  vm::SlotMemo outer_memo, inner_memo;
+  outer_memo.Clear(join.outer_slots.size());
+  inner_memo.Clear(join.inner_slots.size());
+
   EvalContext ctx = Ctx(&scratch);
-  for (const Row& row : rows_) {
+  for (size_t r = 0; r < rows_.size(); ++r) {
+    const Row& row = rows_[r];
     (void)vm::RunPred(pred_chunk, &ctx, row, &scratch);
     (void)vm::RunMulti(value_chunk, &ctx, row, &scratch);
     (void)vm::RunProj(proj_chunk, &ctx, row, &scratch);
+    outer_memo.Capture(join.outer_slots, g_.db.get(), row, &scratch);
+    inner_memo.Capture(join.inner_slots, g_.db.get(), row, &scratch);
+    vm::PairSlots slots;
+    slots.memo = {&outer_memo, &inner_memo};
+    slots.row = {r, r};
+    (void)vm::RunPairPred(join.pair, &ctx, slots, &scratch);
   }
 
   for (size_t op = 0; op < vm::kNumOpCodes; ++op) {
     EXPECT_GT(hits[op], 0u) << "opcode never executed: "
                             << vm::OpCodeName(static_cast<vm::OpCode>(op));
   }
-  EXPECT_EQ(scratch.rows, rows_.size() * 3);
+  // Three programs, two slot captures and one pair program per row.
+  EXPECT_EQ(scratch.rows, rows_.size() * 6);
 }
 
 // --- Constant pool and path table dedup -------------------------------------
@@ -251,6 +270,32 @@ TEST_F(VmTest, ValidateRejectsMalformed) {
     EXPECT_EQ(chunk.Validate().code, Status::Code::kInternal);
   }
   {
+    vm::BytecodeChunk chunk = MinimalPredChunk();
+    // Memo slot outside a pair program (no slots declared).
+    chunk.num_value_regs = 1;
+    chunk.code.insert(chunk.code.begin(),
+                      {vm::OpCode::kLoadSlot, 0, 1, 0, 0, 0});
+    EXPECT_EQ(chunk.Validate().code, Status::Code::kInternal);
+    // A third join input does not exist.
+    chunk.num_slots = {1, 1};
+    EXPECT_TRUE(chunk.Validate().ok());
+    chunk.code[0].b = 2;
+    EXPECT_EQ(chunk.Validate().code, Status::Code::kInternal);
+  }
+  {
+    vm::BytecodeChunk chunk = MinimalPredChunk();
+    // An arithmetic result in one of its own operand registers (a pair
+    // program reads operands in place while it builds the result).
+    chunk.num_value_regs = 2;
+    chunk.code.insert(chunk.code.begin(),
+                      {vm::OpCode::kArith, 0, 1, 0, 0, 0});
+    EXPECT_EQ(chunk.Validate().code, Status::Code::kInternal);  // a == c
+    chunk.code[0] = {vm::OpCode::kArith, 1, 1, 0, 0, 0};
+    EXPECT_EQ(chunk.Validate().code, Status::Code::kInternal);  // a == b
+    chunk.code[0] = {vm::OpCode::kArith, 1, 0, 0, 0, 0};
+    EXPECT_TRUE(chunk.Validate().ok());
+  }
+  {
     vm::BytecodeChunk chunk;  // empty program
     EXPECT_EQ(chunk.Validate().code, Status::Code::kInternal);
   }
@@ -286,6 +331,13 @@ TEST_F(VmTest, UnresolvablePathAborts) {
                                     schema_, *g_.db),
                "unresolvable variable path");
   EXPECT_DEATH(vm::CompileMulti(Expr::Path("y", {}), schema_, *g_.db),
+               "unresolvable variable path");
+  // In a join predicate, too: a path neither input resolves is no slot.
+  RowSchema inner;
+  inner.cols = {{"z", g_.schema->FindClass("Composer")}};
+  EXPECT_DEATH(vm::CompileJoinPredicate(
+                   Expr::Eq(Expr::Path("x", {}), Expr::Path("y", {"master"})),
+                   schema_, inner, *g_.db),
                "unresolvable variable path");
 }
 
