@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "api/plan_cache.h"
 #include "api/session.h"
 #include "common/string_util.h"
 #include "cost/feedback.h"
@@ -193,24 +192,20 @@ int main(int argc, char** argv) {
   // Drift demotion, exercised end to end: a hair-trigger threshold watches
   // a cached plan whose estimate is (per the numbers above) well off, so
   // the second run demotes it and the third re-optimizes.
-  double demotions = 0;
-  if (PlanCacheEnabledByEnv()) {
-    Session drift_session(g.db.get(), CostBasedOptions(42));
-    QueryOptions trigger;
-    trigger.cold = true;
-    trigger.feedback.enabled = true;
-    trigger.feedback.drift_threshold = 1.0001;
-    const std::string& query = corpus.back();
-    for (int r = 0; r < 3; ++r) {
-      const QueryRun run = drift_session.Run(query, trigger);
-      if (!run.ok()) {
-        std::fprintf(stderr, "drift run failed: %s\n", run.error().c_str());
-        return 1;
-      }
+  Session drift_session(g.db.get(), CostBasedOptions(42));
+  QueryOptions trigger;
+  trigger.cold = true;
+  trigger.feedback.enabled = true;
+  trigger.feedback.drift_threshold = 1.0001;
+  for (int r = 0; r < 3; ++r) {
+    const QueryRun run = drift_session.Run(corpus.back(), trigger);
+    if (!run.ok()) {
+      std::fprintf(stderr, "drift run failed: %s\n", run.error().c_str());
+      return 1;
     }
-    demotions =
-        static_cast<double>(drift_session.feedback_registry().stats().demotions);
   }
+  const double demotions =
+      static_cast<double>(drift_session.feedback_registry().stats().demotions);
 
   WriteBenchJson(out_path, {
                                {"QErrorMedianCold", median_cold, "qerr"},

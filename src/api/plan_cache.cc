@@ -1,6 +1,5 @@
 #include "api/plan_cache.h"
 
-#include <cstdlib>
 #include <utility>
 
 #include "common/string_util.h"
@@ -212,16 +211,6 @@ std::string ComposeFingerprint(const std::string& graph_digest,
       RandStrategyName(t.rand), t.rand_moves, t.rand_local_stop,
       t.rand_restarts, t.sa_initial_temp, t.sa_cooling);
   return key;
-}
-
-bool PlanCacheEnabledByEnv() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("RODIN_PLAN_CACHE");
-    if (v == nullptr) return true;
-    const std::string s(v);
-    return !(s == "0" || s == "off" || s == "OFF" || s == "false");
-  }();
-  return enabled;
 }
 
 }  // namespace rodin

@@ -152,11 +152,6 @@ std::string GraphDigest(const QueryGraph& graph);
 /// space and statistics inputs to the optimizer.
 std::string PhysicalIdentity(const Database& db);
 
-/// RODIN_PLAN_CACHE environment knob: unset / "1" / "on" = enabled (the
-/// default), "0" / "off" = every session bypasses its plan cache. Read once
-/// per process.
-bool PlanCacheEnabledByEnv();
-
 }  // namespace rodin
 
 #endif  // RODIN_API_PLAN_CACHE_H_

@@ -12,17 +12,17 @@ namespace rodin {
 
 /// The adaptive-feedback knob block (one per-query surface for the feedback
 /// loop, see cost/feedback.h and DESIGN.md §8), following the facade's
-/// inherit/override rule: the optional is a tri-state override and the
-/// numeric knobs use 0 / disengaged = inherit (an explicit 0 would be
-/// meaningless for either — a drift threshold must exceed 1 and an EWMA
-/// weight of 0 would learn nothing, so 0 can double as the sentinel here
-/// without making any legal value unreachable).
+/// inherit/override rule: `enabled` is a plain switch and the numeric knobs
+/// use 0 = inherit (an explicit 0 would be meaningless for either — a drift
+/// threshold must exceed 1 and an EWMA weight of 0 would learn nothing, so
+/// 0 can double as the sentinel here without making any legal value
+/// unreachable).
 struct FeedbackOptions {
   /// Harvest measured cardinalities from this run and cost this run's
-  /// optimization with the learned corrections (nullopt = the RODIN_FEEDBACK
-  /// environment default, off unless set). Feedback never changes results,
-  /// only plans; faulted, truncated and cancelled runs never contribute.
-  std::optional<bool> enabled;
+  /// optimization with the learned corrections (off by default). Feedback
+  /// never changes results, only plans; faulted, truncated and cancelled
+  /// runs never contribute.
+  bool enabled = false;
   /// Demote a *cached* plan when measured cost drifts this many times from
   /// its estimate, in either direction (0 = inherit the engine default,
   /// kDefaultDriftThreshold; set values must be > 1).
@@ -47,9 +47,9 @@ struct FeedbackOptions {
 ///
 ///   - a plain field (cold, hash_equijoin, ...) is taken literally;
 ///   - an std::optional field is an *override*: nullopt means "inherit the
-///     session / executor / environment default", and an engaged value is
-///     taken literally — including 0, which for `seed` is a legal seed and
-///     for the thread/batch knobs is a usage error rejected with
+///     session / executor default", and an engaged value is taken
+///     literally — including 0, which for `seed` is a legal seed and for
+///     the thread/batch knobs is a usage error rejected with
 ///     Status::Code::kInvalidArgument (0 worker threads or 0-row batches
 ///     cannot run). Before this, 0 doubled as the inherit sentinel, which
 ///     made seed 0 unreachable and made an explicit `--exec-threads 0`
@@ -59,8 +59,8 @@ struct FeedbackOptions {
 ///     never copy the fields.
 ///
 /// Precedence for the optionals: engaged QueryOptions value > session
-/// OptimizerOptions value (search_threads, seed) or executor/environment
-/// default (exec_threads, batch_rows). There is no third copy anywhere.
+/// OptimizerOptions value (search_threads, seed) or executor default
+/// (exec_threads, batch_rows). There is no third copy anywhere.
 struct QueryOptions {
   /// Start measurement from an empty buffer pool (cold run). Warm otherwise:
   /// counters reset but resident pages stay.

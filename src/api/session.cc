@@ -150,7 +150,7 @@ Session::Session(Database* db, OptimizerOptions options, CostParams cost_params,
 Session::EffectiveFeedback Session::ResolveFeedback(
     const QueryOptions& options) {
   EffectiveFeedback out;
-  out.on = options.feedback.enabled.value_or(FeedbackEnvDefault());
+  out.on = options.feedback.enabled;
   // Same rule as the plan cache: an enabled injector perturbs and retries
   // attempts, so neither side of the loop may run — corrections applied
   // mid-test would make a retried run's plan differ from the clean run it
@@ -245,9 +245,8 @@ bool Session::OptimizeThroughCache(const QueryGraph& graph,
   // retryable; a plan produced or reused under it could differ from the
   // clean-run plan in unverifiable ways. Bypass entirely: no lookups, no
   // inserts — under RODIN_FAULTS the hit rate is 0 by construction.
-  const bool use_cache = PlanCacheEnabledByEnv() &&
-                         !options.bypass_plan_cache &&
-                         !FaultInjector::Global().enabled();
+  const bool use_cache =
+      !options.bypass_plan_cache && !FaultInjector::Global().enabled();
   // Budget-aware costing: an explicit per-query memory budget enters the
   // cost params (the spill penalty term) and with them the plan-cache
   // fingerprint, so budgeted and unbudgeted runs of one query never share

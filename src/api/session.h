@@ -210,7 +210,7 @@ class PreparedQuery {
 /// a private one. RefreshStats() invalidates this session's entries (stats
 /// version bump); truncated optimizations and any run while the fault
 /// injector is enabled are never cached. QueryOptions::bypass_plan_cache
-/// opts a single run out; RODIN_PLAN_CACHE=0 disables caching process-wide.
+/// opts a single run out.
 class Session {
  public:
   explicit Session(Database* db, OptimizerOptions options = {},
@@ -330,8 +330,8 @@ class Session {
   friend class PreparedQuery;
 
   /// One run's resolved feedback configuration: QueryOptions::feedback with
-  /// the inherit defaults (RODIN_FEEDBACK env; kDefaultDriftThreshold /
-  /// kDefaultFeedbackAlpha) applied.
+  /// the inherit defaults (kDefaultDriftThreshold / kDefaultFeedbackAlpha)
+  /// applied, and off while the fault injector is enabled.
   struct EffectiveFeedback {
     bool on = false;
     double drift_threshold = kDefaultDriftThreshold;

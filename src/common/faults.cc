@@ -1,7 +1,11 @@
 #include "common/faults.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <sstream>
+
+#include "common/check.h"
 
 namespace rodin {
 
@@ -28,40 +32,53 @@ FaultInjector& FaultInjector::Global() {
   return *instance;
 }
 
-FaultConfig FaultInjector::ParseEnvValue(const std::string& value) {
+Status FaultInjector::ParseEnvValue(const std::string& value,
+                                    FaultConfig* out) {
   FaultConfig config;
-  if (value.empty() || value == "0") return config;  // disabled
-  config.enabled = true;
-  if (value == "1") return config;  // defaults
-  std::stringstream ss(value);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const size_t eq = item.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string key = item.substr(0, eq);
-    const std::string val = item.substr(eq + 1);
-    if (key == "page_fetch") {
-      config.page_fetch_fail = std::strtod(val.c_str(), nullptr);
-    } else if (key == "alloc") {
-      config.alloc_fail = std::strtod(val.c_str(), nullptr);
-    } else if (key == "seed") {
-      config.seed = std::strtoull(val.c_str(), nullptr, 10);
-    } else if (key == "max") {
-      config.max_faults = std::strtoull(val.c_str(), nullptr, 10);
-    } else if (key == "stage") {
-      config.force_deadline_stage =
-          static_cast<int>(std::strtol(val.c_str(), nullptr, 10));
-    } else if (key == "fix_iter") {
-      config.force_deadline_fix_iter =
-          static_cast<int>(std::strtol(val.c_str(), nullptr, 10));
+  if (!value.empty() && value != "0") config.enabled = true;
+  if (config.enabled && value != "1") {
+    std::stringstream ss(value);
+    std::string item;
+    while (std::getline(ss, item, ',')) {
+      const size_t eq = item.find('=');
+      const std::string key = item.substr(0, eq);
+      const std::string val =
+          eq == std::string::npos ? "" : item.substr(eq + 1);
+      const bool negative = val.find('-') != std::string::npos;
+      const char* begin = val.c_str();
+      char* end = nullptr;
+      errno = 0;
+      if (key == "page_fetch") {
+        config.page_fetch_fail = std::strtod(begin, &end);
+      } else if (key == "alloc") {
+        config.alloc_fail = std::strtod(begin, &end);
+      } else if (key == "seed" && !negative) {
+        config.seed = std::strtoull(begin, &end, 10);
+      } else if (key == "max" && !negative) {
+        config.max_faults = std::strtoull(begin, &end, 10);
+      } else if (key == "stage" || key == "fix_iter") {
+        const long n = std::strtol(begin, &end, 10);
+        if (n < INT_MIN || n > INT_MAX) errno = ERANGE;
+        int& slot = key == "stage" ? config.force_deadline_stage
+                                   : config.force_deadline_fix_iter;
+        slot = static_cast<int>(n);
+      }
+      if (end == nullptr || end == begin || *end != '\0' || errno != 0) {
+        return Status::Error(Status::Code::kInvalidArgument,
+                             "RODIN_FAULTS: bad item '" + item + "'");
+      }
     }
   }
-  return config;
+  *out = config;
+  return Status::Ok();
 }
 
 void FaultInjector::ConfigureFromEnv() {
   const char* env = std::getenv("RODIN_FAULTS");
-  Configure(ParseEnvValue(env != nullptr ? env : ""));
+  FaultConfig config;
+  const Status status = ParseEnvValue(env != nullptr ? env : "", &config);
+  RODIN_CHECK(status.ok(), status.message.c_str());
+  Configure(config);
 }
 
 void FaultInjector::Configure(const FaultConfig& config) {

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/status.h"
+
 namespace rodin {
 
 /// Fault-injection configuration. Off by default; enabled by the
@@ -13,7 +15,9 @@ namespace rodin {
 /// RODIN_FAULTS grammar:
 ///   unset, "" or "0"      — disabled
 ///   "1"                   — enabled with the defaults below
-///   "k=v,k=v,..."         — enabled with overrides, e.g.
+///   "k=v,k=v,..."         — enabled with overrides (every item must be a
+///                           known key whose value parses completely as
+///                           the key's type; see ParseEnvValue), e.g.
 ///                           "page_fetch=0.01,alloc=0.005,seed=7,max=3,
 ///                            stage=3,fix_iter=2"
 /// Keys: page_fetch (probability a page fetch fails with kFault),
@@ -53,7 +57,8 @@ class FaultInjector {
   /// Replaces the configuration and resets the RNG and fault counter.
   void Configure(const FaultConfig& config);
 
-  /// Re-reads RODIN_FAULTS (test hook; also used by Global() once).
+  /// Re-reads RODIN_FAULTS (test hook; also used by Global() once). A value
+  /// ParseEnvValue rejects stops the process with its message.
   void ConfigureFromEnv();
 
   const FaultConfig& config() const { return config_; }
@@ -78,8 +83,12 @@ class FaultInjector {
     return faults_.load(std::memory_order_relaxed);
   }
 
-  /// Parses a RODIN_FAULTS value. Exposed for tests.
-  static FaultConfig ParseEnvValue(const std::string& value);
+  /// Parses a RODIN_FAULTS value into *out. An item that is not
+  /// "known_key=number" (unknown key, missing '=', a number with trailing
+  /// characters, a negative seed/max, an out-of-range value) is
+  /// kInvalidArgument naming the item, and *out is left untouched. Exposed
+  /// for tests.
+  static Status ParseEnvValue(const std::string& value, FaultConfig* out);
 
  private:
   FaultInjector();

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "common/status.h"
@@ -55,17 +54,16 @@ struct QueryContext {
   /// evicted pages are simply re-charged as misses — accounting stays
   /// exact). The same figure budgets the query's *cumulative live* temp
   /// pages: an operator working set that would exceed the remainder spills
-  /// to disk (when `spill` resolves on) or returns a typed
-  /// kResourceExhausted (when it resolves off); only a single row too large
-  /// for the whole budget is refused unconditionally — no partitioning can
-  /// split one row. 0 = unlimited.
+  /// to disk (when `spill` is on) or returns a typed kResourceExhausted
+  /// (when it is off); only a single row too large for the whole budget is
+  /// refused unconditionally — no partitioning can split one row.
+  /// 0 = unlimited.
   size_t memory_budget_pages = 0;
 
-  /// Tri-state spill override: nullopt inherits the RODIN_SPILL environment
-  /// default (on unless RODIN_SPILL=0/off). Engaged true/false forces the
-  /// over-budget behaviour above for this run. Spilling never changes rows,
-  /// row order, ExecCounters or MeasuredCost — only where row bytes live.
-  std::optional<bool> spill;
+  /// Over-budget behaviour above for this run: spill (the default) or fail
+  /// fast. Spilling never changes rows, row order, ExecCounters or
+  /// MeasuredCost — only where row bytes live.
+  bool spill = true;
 
   /// Temp-page ledger budget override for the spill decision only. Unlike
   /// memory_budget_pages it does NOT clamp the buffer pool's LRU capacity,

@@ -1,7 +1,6 @@
 #include "cost/feedback.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "obs/metrics.h"
 #include "plan/pt_printer.h"
@@ -275,14 +274,6 @@ void FeedbackRegistry::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   factors_.clear();
   demotions_.clear();
-}
-
-bool FeedbackEnvDefault() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("RODIN_FEEDBACK");
-    return v != nullptr && v[0] != '\0' && std::string(v) != "0";
-  }();
-  return enabled;
 }
 
 }  // namespace rodin

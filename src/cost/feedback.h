@@ -167,11 +167,6 @@ class FeedbackRegistry {
   FeedbackStats stats_;
 };
 
-/// RODIN_FEEDBACK environment knob: the process-wide default for
-/// QueryOptions::feedback.enabled — set to anything but "0" to enable (read
-/// once, like the plan-cache / fault switches; unset = off).
-bool FeedbackEnvDefault();
-
 }  // namespace rodin
 
 #endif  // RODIN_COST_FEEDBACK_H_

@@ -129,16 +129,6 @@ uint64_t TempRowPages(size_t ncols) {
   return std::max<uint64_t>(1, (bytes + kPageSizeBytes - 1) / kPageSizeBytes);
 }
 
-bool SpillEnvDefault() {
-  static const bool on = [] {
-    const char* v = std::getenv("RODIN_SPILL");
-    if (v == nullptr || v[0] == '\0') return true;
-    const std::string s(v);
-    return s != "0" && s != "off";
-  }();
-  return on;
-}
-
 size_t SpillBudgetEnvDefault() {
   static const size_t pages = [] {
     const char* v = std::getenv("RODIN_SPILL_BUDGET");
@@ -146,11 +136,6 @@ size_t SpillBudgetEnvDefault() {
     return static_cast<size_t>(std::strtoull(v, nullptr, 10));
   }();
   return pages;
-}
-
-bool EffectiveSpillEnabled(const QueryContext* query) {
-  if (query != nullptr && query->spill.has_value()) return *query->spill;
-  return SpillEnvDefault();
 }
 
 size_t EffectiveSpillBudgetPages(const QueryContext* query) {
@@ -197,7 +182,7 @@ std::unique_ptr<BatchEngine> Executor::MakeEngine(const PTNode& plan,
   cfg.method_cost_fp = &method_cost_fp_;
   cfg.query = options.query;
   cfg.inject_faults = options.inject_faults;
-  cfg.spill_enabled = EffectiveSpillEnabled(options.query);
+  cfg.spill_enabled = options.query == nullptr || options.query->spill;
   cfg.spill_budget_pages = EffectiveSpillBudgetPages(options.query);
   cfg.spill_stats = &spill_stats_;
   return std::make_unique<BatchEngine>(cfg, plan);

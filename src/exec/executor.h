@@ -47,20 +47,12 @@ struct OpStats {
   double micros = 0;    // coordinator wall time spent in the operator
 };
 
-/// Process-wide default for QueryContext::spill: on unless the RODIN_SPILL
-/// environment variable is "0" or "off" (read once).
-bool SpillEnvDefault();
-
 /// Process-wide default for the temp-page ledger budget when the query sets
 /// neither spill_budget_pages nor memory_budget_pages: the RODIN_SPILL_BUDGET
 /// environment variable (pages; read once; 0 / unset = unlimited). CI's
 /// spill job forces a tiny value here to exercise the spill paths in every
 /// test without touching the buffer pool's accounting.
 size_t SpillBudgetEnvDefault();
-
-/// Resolves the run's effective spill switch: the query's tri-state
-/// override when engaged, else the RODIN_SPILL default.
-bool EffectiveSpillEnabled(const QueryContext* query);
 
 /// Resolves the run's effective temp-page ledger budget (0 = unlimited):
 /// query->spill_budget_pages when nonzero, else query->memory_budget_pages

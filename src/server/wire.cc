@@ -51,16 +51,19 @@ constexpr uint8_t kTagSet = 7;
 constexpr uint8_t kFlagBypassPlanCache = 1u << 0;
 // Bits 1 and 2 once carried a compiled-eval override. Compiled eval is the
 // only evaluator now: encoders leave the bits clear, decoders ignore them.
-// Adaptive-feedback override. The tuning flag gates a two-F64 tail (drift
+// Adaptive feedback. Encoders always set kFlagFeedbackSet and carry the
+// value in kFlagFeedbackOn; a clear kFlagFeedbackSet (an older client's
+// "inherit") decodes as off. The tuning flag gates a two-F64 tail (drift
 // threshold, EWMA alpha) appended after the flags byte.
 constexpr uint8_t kFlagFeedbackSet = 1u << 3;
 constexpr uint8_t kFlagFeedbackOn = 1u << 4;
 constexpr uint8_t kFlagFeedbackTuning = 1u << 5;
-// Spill override. Gates a tail (after the feedback tuning tail, when both
-// are present): u8 tri-state (0 = inherit, 1 = off, 2 = on) + u64
-// spill-ledger budget pages.
+// Spill. Gates a tail (after the feedback tuning tail, when both are
+// present): u8 state (1 = off, 2 = on) + u64 spill-ledger budget pages.
+// Encoders write the tail only when spill is off or a budget is set. An
+// absent tail and state 0 (an older client's "inherit") decode as on; any
+// other state is a malformed frame.
 constexpr uint8_t kFlagSpill = 1u << 6;
-constexpr uint8_t kSpillInherit = 0;
 constexpr uint8_t kSpillOff = 1;
 constexpr uint8_t kSpillOn = 2;
 
@@ -161,15 +164,12 @@ void WireQueryOptions::Encode(PayloadWriter* w) const {
   w->U64(memory_budget_pages);
   w->U32(exec_threads);
   w->U32(batch_rows);
-  uint8_t flags = 0;
+  uint8_t flags = kFlagFeedbackSet;
   if (bypass_plan_cache) flags |= kFlagBypassPlanCache;
-  if (feedback.has_value()) {
-    flags |= kFlagFeedbackSet;
-    if (*feedback) flags |= kFlagFeedbackOn;
-  }
+  if (feedback) flags |= kFlagFeedbackOn;
   const bool tuning = feedback_drift != 0 || feedback_alpha != 0;
   if (tuning) flags |= kFlagFeedbackTuning;
-  const bool spill_block = spill.has_value() || spill_budget_pages != 0;
+  const bool spill_block = !spill || spill_budget_pages != 0;
   if (spill_block) flags |= kFlagSpill;
   w->U8(flags);
   if (tuning) {
@@ -177,8 +177,7 @@ void WireQueryOptions::Encode(PayloadWriter* w) const {
     w->F64(feedback_alpha);
   }
   if (spill_block) {
-    w->U8(!spill.has_value() ? kSpillInherit
-                             : (*spill ? kSpillOn : kSpillOff));
+    w->U8(spill ? kSpillOn : kSpillOff);
     w->U64(spill_budget_pages);
   }
 }
@@ -190,23 +189,20 @@ bool WireQueryOptions::Decode(PayloadReader* r) {
     return false;
   }
   bypass_plan_cache = (flags & kFlagBypassPlanCache) != 0;
-  if ((flags & kFlagFeedbackSet) != 0) {
-    feedback = (flags & kFlagFeedbackOn) != 0;
-  } else {
-    feedback.reset();
-  }
+  feedback = (flags & kFlagFeedbackSet) != 0 &&
+             (flags & kFlagFeedbackOn) != 0;
   feedback_drift = 0;
   feedback_alpha = 0;
   if ((flags & kFlagFeedbackTuning) != 0) {
     if (!r->F64(&feedback_drift) || !r->F64(&feedback_alpha)) return false;
   }
-  spill.reset();
+  spill = true;
   spill_budget_pages = 0;
   if ((flags & kFlagSpill) != 0) {
     uint8_t state;
     if (!r->U8(&state) || !r->U64(&spill_budget_pages)) return false;
-    if (state == kSpillOff) spill = false;
-    if (state == kSpillOn) spill = true;
+    if (state > kSpillOn) return false;
+    spill = state != kSpillOff;
   }
   return true;
 }

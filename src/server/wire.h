@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "api/query_options.h"
@@ -161,19 +160,18 @@ struct WireQueryOptions {
   uint32_t exec_threads = 0;         // 0 = inherit executor default
   uint32_t batch_rows = 0;           // 0 = inherit executor default
   bool bypass_plan_cache = false;
-  /// Tri-state adaptive-feedback override (nullopt = inherit the server's
-  /// RODIN_FEEDBACK default). The tuning knobs follow the facade's inherit
-  /// rule: 0 = server default (kDefaultDriftThreshold /
-  /// kDefaultFeedbackAlpha). Encoded as flag bits + an optional two-F64
-  /// tail.
-  std::optional<bool> feedback;
+  /// Adaptive feedback for this request (off by default). The tuning knobs
+  /// follow the facade's inherit rule: 0 = server default
+  /// (kDefaultDriftThreshold / kDefaultFeedbackAlpha). Encoded as flag
+  /// bits + an optional two-F64 tail.
+  bool feedback = false;
   double feedback_drift = 0;
   double feedback_alpha = 0;
-  /// Tri-state spill override (nullopt = inherit the server's RODIN_SPILL
-  /// default) and the temp-ledger budget override (0 = inherit; see
+  /// Spill switch (on by default; see QueryContext::spill) and the
+  /// temp-ledger budget override (0 = inherit; see
   /// QueryContext::spill_budget_pages). Encoded as one flag bit gating a u8
-  /// tri-state + u64 budget tail.
-  std::optional<bool> spill;
+  /// state + u64 budget tail; an undefined state byte fails Decode.
+  bool spill = true;
   uint64_t spill_budget_pages = 0;
 
   void Encode(PayloadWriter* w) const;

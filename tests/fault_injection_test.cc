@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -69,10 +70,16 @@ class FaultInjectionTest : public ::testing::Test {
 };
 
 TEST_F(FaultInjectionTest, ParseEnvValueGrammar) {
-  EXPECT_FALSE(FaultInjector::ParseEnvValue("").enabled);
-  EXPECT_FALSE(FaultInjector::ParseEnvValue("0").enabled);
+  auto parse = [](const std::string& value) {
+    FaultConfig config;
+    const Status status = FaultInjector::ParseEnvValue(value, &config);
+    EXPECT_TRUE(status.ok()) << value << ": " << status.ToString();
+    return config;
+  };
+  EXPECT_FALSE(parse("").enabled);
+  EXPECT_FALSE(parse("0").enabled);
 
-  const FaultConfig defaults = FaultInjector::ParseEnvValue("1");
+  const FaultConfig defaults = parse("1");
   EXPECT_TRUE(defaults.enabled);
   EXPECT_DOUBLE_EQ(defaults.page_fetch_fail, 0.01);
   EXPECT_DOUBLE_EQ(defaults.alloc_fail, 0.005);
@@ -80,8 +87,8 @@ TEST_F(FaultInjectionTest, ParseEnvValueGrammar) {
   EXPECT_EQ(defaults.force_deadline_stage, -1);
   EXPECT_EQ(defaults.force_deadline_fix_iter, -1);
 
-  const FaultConfig custom = FaultInjector::ParseEnvValue(
-      "page_fetch=0.5,alloc=0.25,seed=7,max=3,stage=2,fix_iter=4");
+  const FaultConfig custom =
+      parse("page_fetch=0.5,alloc=0.25,seed=7,max=3,stage=2,fix_iter=4");
   EXPECT_TRUE(custom.enabled);
   EXPECT_DOUBLE_EQ(custom.page_fetch_fail, 0.5);
   EXPECT_DOUBLE_EQ(custom.alloc_fail, 0.25);
@@ -89,6 +96,35 @@ TEST_F(FaultInjectionTest, ParseEnvValueGrammar) {
   EXPECT_EQ(custom.max_faults, 3u);
   EXPECT_EQ(custom.force_deadline_stage, 2);
   EXPECT_EQ(custom.force_deadline_fix_iter, 4);
+  EXPECT_EQ(parse("stage=-1").force_deadline_stage, -1);
+
+  // Every malformed item is refused, naming the item, and leaves the
+  // caller's config untouched — a typo must not silently mean "enabled
+  // with the defaults" or "unlimited".
+  for (const std::string bad :
+       {"page_fech=0.5", "max=abc", "page_fetch=0.5,max=abc", "seed=-3",
+        "max=-1", "max= -1", "alloc=", "alloc", "stage=2x",
+        "fix_iter=99999999999", "page_fetch=1e999", "seed=7,,max=3", "2"}) {
+    FaultConfig config;
+    config.seed = 99;
+    const Status status = FaultInjector::ParseEnvValue(bad, &config);
+    EXPECT_EQ(status.code, Status::Code::kInvalidArgument) << bad;
+    EXPECT_NE(status.message.find("bad item"), std::string::npos) << bad;
+    EXPECT_FALSE(config.enabled) << bad;
+    EXPECT_EQ(config.seed, 99u) << bad;
+  }
+  FaultConfig config;
+  EXPECT_NE(FaultInjector::ParseEnvValue("seed=1,page_fech=0.5", &config)
+                .message.find("'page_fech=0.5'"),
+            std::string::npos);
+  // Read from the environment, a malformed value stops the process with
+  // that message instead of running with a configuration nobody asked for.
+  EXPECT_DEATH(
+      {
+        setenv("RODIN_FAULTS", "seed=3,max=abc", 1);
+        FaultInjector::Global().ConfigureFromEnv();
+      },
+      "bad item 'max=abc'");
 }
 
 TEST_F(FaultInjectionTest, RetriedPageFetchFaultIsBitIdenticalToCleanRun) {

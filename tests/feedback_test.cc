@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,6 +24,9 @@
 #include "datagen/music_gen.h"
 #include "query/builder.h"
 #include "query/parser.h"
+#include "server/client.h"
+#include "server/server.h"
+#include "support/random_queries.h"
 
 namespace rodin {
 namespace {
@@ -360,7 +362,11 @@ TEST_F(FeedbackSessionTest, NodeStatsExposesTheEstVsMeasuredTable) {
 // a randomized 50-query SPJ corpus, rows and row order are identical
 // feedback-on vs feedback-off, and whenever the chosen plan is the same the
 // ExecCounters are bit-identical too (pass 1 starts from an empty registry,
-// so the first query's plan — and therefore everything — must match).
+// so the first query's plan — and therefore everything — must match). The
+// same holds for three more paths a feedback-on run can take: a randomized
+// corpus of the paper's recursive Influencer query, the streaming
+// Session::Query cursor (which harvests when drained), and a request that
+// carries the feedback bit through a server round trip.
 TEST_F(FeedbackSessionTest, DifferentialRowsIdenticalOverRandomCorpus) {
   Session on(g_.db.get());
   Session off(g_.db.get());
@@ -421,6 +427,90 @@ TEST_F(FeedbackSessionTest, DifferentialRowsIdenticalOverRandomCorpus) {
       }
     }
   }
+
+  // Each arm below must harvest, or it would compare feedback-off with
+  // itself. An enabled injector switches feedback off by design.
+  const bool harvests = !FaultInjector::Global().enabled();
+  auto observations = [&on] {
+    return on.feedback_registry().stats().observations;
+  };
+
+  // Recursive arm: the fixpoint's estimates are the ones feedback corrects
+  // most, so the second pass runs under the largest plan changes.
+  const int kRecursive = 12;
+  std::vector<QueryGraph> recursive;
+  for (int i = 0; i < kRecursive; ++i) {
+    recursive.push_back(RandomRecursiveQuery(&rng, *g_.schema));
+  }
+  uint64_t before = observations();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < kRecursive; ++i) {
+      SCOPED_TRACE("recursive pass " + std::to_string(pass) + " query " +
+                   std::to_string(i));
+      const QueryRun ron = on.Run(recursive[i], FeedbackOn());
+      const QueryRun roff = off.Run(recursive[i], FeedbackOff());
+      ASSERT_TRUE(ron.ok()) << ron.error();
+      ASSERT_TRUE(roff.ok()) << roff.error();
+      ASSERT_EQ(Keys(ron.answer), Keys(roff.answer));
+      if (ron.plan_text == roff.plan_text) {
+        ExpectSameCounters(ron.counters, roff.counters);
+        EXPECT_EQ(ron.measured_cost, roff.measured_cost);
+      }
+    }
+  }
+  EXPECT_EQ(observations() > before, harvests);
+
+  // Cursor arm: every query of both corpora streamed through
+  // Session::Query and drained, against the feedback-off Run.
+  std::vector<const QueryGraph*> streamed;
+  for (const QueryGraph& q : corpus) streamed.push_back(&q);
+  for (const QueryGraph& q : recursive) streamed.push_back(&q);
+  before = observations();
+  for (size_t i = 0; i < streamed.size(); ++i) {
+    SCOPED_TRACE("cursor query " + std::to_string(i));
+    ResultCursor cursor = on.Query(*streamed[i], FeedbackOn());
+    ASSERT_TRUE(cursor.ok()) << cursor.error();
+    const Table rows = cursor.ToTable();
+    ASSERT_TRUE(cursor.ok()) << cursor.error();
+    const QueryRun roff = off.Run(*streamed[i], FeedbackOff());
+    ASSERT_TRUE(roff.ok()) << roff.error();
+    ASSERT_EQ(Keys(rows), Keys(roff.answer));
+    if (cursor.plan_text() == roff.plan_text) {
+      ExpectSameCounters(cursor.counters(), roff.counters);
+      EXPECT_EQ(cursor.measured_cost(), roff.measured_cost);
+    }
+  }
+  EXPECT_EQ(observations() > before, harvests);
+
+  // Wire arm: the feedback bit survives the request frame and switches
+  // the loop on in the server's session; the rows match an embedded
+  // feedback-off run over the same engine.
+  EngineOptions engine_options;
+  engine_options.dataset = "music";
+  engine_options.size = 40;
+  Status status;
+  std::unique_ptr<EngineHandle> engine =
+      EngineHandle::Create(engine_options, &status);
+  ASSERT_NE(engine, nullptr) << status.ToString();
+  server::ServerOptions server_options;
+  server_options.workers = 1;
+  server_options.max_in_flight = 2;
+  std::unique_ptr<server::Server> srv =
+      server::Server::Start(engine.get(), server_options, &status);
+  ASSERT_NE(srv, nullptr) << status.ToString();
+  server::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", srv->port()).ok());
+  const server::ClientResult wire_on = client.Query(kFig3Text, FeedbackOn());
+  ASSERT_TRUE(wire_on.ok()) << wire_on.status.ToString();
+  EXPECT_EQ(engine->feedback_registry()->stats().observations > 0, harvests);
+  const QueryRun embedded_off =
+      engine->NewSession()->Run(kFig3Text, FeedbackOff());
+  ASSERT_TRUE(embedded_off.ok()) << embedded_off.error();
+  Table wire_rows;
+  wire_rows.rows = wire_on.rows;
+  ASSERT_FALSE(wire_rows.rows.empty());
+  EXPECT_EQ(Keys(wire_rows), Keys(embedded_off.answer));
+  client.Goodbye();
 }
 
 // --- Hygiene: what must never feed back --------------------------------------
@@ -430,9 +520,7 @@ class FeedbackHygieneTest : public ::testing::Test {
   FeedbackHygieneTest() : g_(MakeMusicDb()) {}
   void TearDown() override {
     // Restore whatever the process-wide RODIN_FAULTS leg configured.
-    const char* env = std::getenv("RODIN_FAULTS");
-    FaultInjector::Global().Configure(
-        FaultInjector::ParseEnvValue(env != nullptr ? env : ""));
+    FaultInjector::Global().ConfigureFromEnv();
   }
 
   GeneratedDb g_;
@@ -515,13 +603,16 @@ TEST_F(FeedbackHygieneTest, CancelledAndAbandonedCursorsContributeNothing) {
 
 // --- Drift demotion ----------------------------------------------------------
 
-TEST(FeedbackDemotionTest, DemoteReoptimizeRecacheRoundTripAcrossSessions) {
-  if (!PlanCacheEnabledByEnv()) {
-    GTEST_SKIP() << "RODIN_PLAN_CACHE=0: demotion is about cached plans";
-  }
-  if (FaultInjector::Global().enabled()) {
-    GTEST_SKIP() << "the injector bypasses the plan cache by design";
-  }
+/// Demotion is about cached plans, and an enabled fault injector bypasses
+/// both the plan cache and feedback by design — so the fixture pins the
+/// process-global injector off and restores RODIN_FAULTS afterwards.
+class FeedbackDemotionTest : public ::testing::Test {
+ protected:
+  void SetUp() override { FaultInjector::Global().Configure(FaultConfig{}); }
+  void TearDown() override { FaultInjector::Global().ConfigureFromEnv(); }
+};
+
+TEST_F(FeedbackDemotionTest, DemoteReoptimizeRecacheRoundTripAcrossSessions) {
   GeneratedDb g = MakeMusicDb();
   auto cache = std::make_shared<PlanCache>();
   auto registry = std::make_shared<FeedbackRegistry>();
@@ -565,10 +656,7 @@ TEST(FeedbackDemotionTest, DemoteReoptimizeRecacheRoundTripAcrossSessions) {
   EXPECT_EQ(again.reoptimized_drift, 0.0);
 }
 
-TEST(FeedbackDemotionTest, GenerousThresholdNeverDemotes) {
-  if (!PlanCacheEnabledByEnv() || FaultInjector::Global().enabled()) {
-    GTEST_SKIP() << "needs an active plan cache";
-  }
+TEST_F(FeedbackDemotionTest, GenerousThresholdNeverDemotes) {
   GeneratedDb g = MakeMusicDb();
   Session session(g.db.get());
   // An absurd threshold: estimates are imperfect, but not 1e6x off.

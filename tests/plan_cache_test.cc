@@ -77,12 +77,6 @@ void ExpectCachedRunIdentical(Session* session, const QueryGraph& q,
   SCOPED_TRACE(label);
   QueryOptions cold;
   cold.cold = true;
-  // Pinned off like the injector above: feedback harvests the miss run and
-  // then has the bypass oracle re-optimize under the learned corrections,
-  // so hit-vs-oracle would legitimately diverge in est cost / plan text
-  // under RODIN_FEEDBACK=1. Cache-in-isolation is this suite's contract;
-  // the feedback-on interplay is feedback_test's.
-  cold.feedback.enabled = false;
 
   const QueryRun first = session->Run(q, cold);
   ASSERT_TRUE(first.ok()) << first.error();
@@ -120,11 +114,6 @@ void ExpectCachedRunIdentical(Session* session, const QueryGraph& q,
 class PlanCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!PlanCacheEnabledByEnv()) {
-      GTEST_SKIP() << "RODIN_PLAN_CACHE disables the cache; hit assertions "
-                      "are vacuous (the cache-off CI leg proves the system "
-                      "works without it, not that it hits)";
-    }
     FaultInjector::Global().Configure(FaultConfig{});  // disabled
   }
   void TearDown() override {
@@ -242,9 +231,6 @@ QueryGraph RandomRecursiveQuery(Rng* rng, const Schema& schema) {
 class PlanCacheSeedTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
-    if (!PlanCacheEnabledByEnv()) {
-      GTEST_SKIP() << "RODIN_PLAN_CACHE disables the cache";
-    }
     FaultInjector::Global().Configure(FaultConfig{});  // disabled
   }
   void TearDown() override {

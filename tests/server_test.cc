@@ -162,11 +162,29 @@ TEST(WireCodecTest, QueryOptionsRoundTripPreservesInheritRule) {
   const QueryOptions decoded2 = wire2.ToQueryOptions();
   EXPECT_FALSE(decoded2.exec_threads.has_value());
   EXPECT_FALSE(decoded2.batch_rows.has_value());
-  EXPECT_FALSE(decoded2.feedback.enabled.has_value());
+  EXPECT_FALSE(decoded2.feedback.enabled);
   EXPECT_EQ(decoded2.feedback.drift_threshold, 0.0);
   EXPECT_EQ(decoded2.feedback.ewma_alpha, 0.0);
-  EXPECT_FALSE(decoded2.query.spill.has_value());
+  EXPECT_TRUE(decoded2.query.spill);
   EXPECT_EQ(decoded2.query.spill_budget_pages, 0u);
+}
+
+/// A QUERY options block laid out by hand: zero deadline, budget, threads
+/// and batch, then `flags` and, when flag bit 6 is set, the spill tail (u8
+/// state, u64 budget pages).
+std::string RawOptions(uint8_t flags, uint8_t spill_state = 0,
+                       uint64_t spill_budget = 0) {
+  PayloadWriter w;
+  w.U64(0);
+  w.U64(0);
+  w.U32(0);
+  w.U32(0);
+  w.U8(flags);
+  if ((flags & 0x40) != 0) {
+    w.U8(spill_state);
+    w.U64(spill_budget);
+  }
+  return w.Take();
 }
 
 TEST(WireCodecTest, EveryQueryOptionRoundTrips) {
@@ -199,27 +217,57 @@ TEST(WireCodecTest, EveryQueryOptionRoundTrips) {
   EXPECT_EQ(decoded.exec_threads, std::optional<size_t>(4));
   EXPECT_EQ(decoded.batch_rows, std::optional<size_t>(7));
   EXPECT_TRUE(decoded.bypass_plan_cache);
-  EXPECT_EQ(decoded.feedback.enabled, std::optional<bool>(true));
+  EXPECT_TRUE(decoded.feedback.enabled);
   EXPECT_EQ(decoded.feedback.drift_threshold, 2.5);
   EXPECT_EQ(decoded.feedback.ewma_alpha, 0.25);
-  EXPECT_EQ(decoded.query.spill, std::optional<bool>(true));
+  EXPECT_TRUE(decoded.query.spill);
   EXPECT_EQ(decoded.query.spill_budget_pages, 4096u);
 
-  // An explicit "off" is distinct from "inherit" for both tri-states, and a
-  // budget-only spill block keeps the spill tri-state as inherit.
-  QueryOptions off;
-  off.feedback.enabled = false;
-  off.query.spill = false;
-  const QueryOptions decoded_off = round_trip(off);
-  EXPECT_EQ(decoded_off.feedback.enabled, std::optional<bool>(false));
-  EXPECT_EQ(decoded_off.query.spill, std::optional<bool>(false));
-  EXPECT_EQ(decoded_off.query.spill_budget_pages, 0u);
+  // Every (feedback, spill) pair survives, with and without a ledger budget.
+  for (const bool feedback : {false, true}) {
+    for (const bool spill : {false, true}) {
+      for (const uint64_t budget : {uint64_t{0}, uint64_t{7}}) {
+        SCOPED_TRACE("feedback " + std::to_string(feedback) + " spill " +
+                     std::to_string(spill) + " budget " +
+                     std::to_string(budget));
+        QueryOptions pair;
+        pair.feedback.enabled = feedback;
+        pair.query.spill = spill;
+        pair.query.spill_budget_pages = budget;
+        const QueryOptions back = round_trip(pair);
+        EXPECT_EQ(back.feedback.enabled, feedback);
+        EXPECT_EQ(back.query.spill, spill);
+        EXPECT_EQ(back.query.spill_budget_pages, budget);
+      }
+    }
+  }
 
-  QueryOptions budget_only;
-  budget_only.query.spill_budget_pages = 7;
-  const QueryOptions decoded_budget = round_trip(budget_only);
-  EXPECT_FALSE(decoded_budget.query.spill.has_value());
-  EXPECT_EQ(decoded_budget.query.spill_budget_pages, 7u);
+  // Older clients sent "inherit the server default" as a clear feedback-set
+  // bit (3) and as spill state 0. Both now decode to the defaults: feedback
+  // off, spill on. Bit 4 without bit 3 carried no value then either.
+  for (const uint8_t flags : {uint8_t{0x00}, uint8_t{0x10}, uint8_t{0x40},
+                              uint8_t{0x50}}) {
+    SCOPED_TRACE("flags " + std::to_string(flags));
+    const std::string payload = RawOptions(flags, /*spill_state=*/0, 7);
+    PayloadReader r(payload.data(), payload.size());
+    WireQueryOptions wire;
+    ASSERT_TRUE(wire.Decode(&r));
+    EXPECT_TRUE(r.AtEnd());
+    const QueryOptions legacy = wire.ToQueryOptions();
+    EXPECT_FALSE(legacy.feedback.enabled);
+    EXPECT_TRUE(legacy.query.spill);
+    EXPECT_EQ(legacy.query.spill_budget_pages, (flags & 0x40) ? 7u : 0u);
+  }
+
+  // docs/SERVER.md defines spill states 0, 1 and 2 only; any other state
+  // byte makes the frame malformed.
+  for (const uint8_t state : {uint8_t{3}, uint8_t{0x80}, uint8_t{0xff}}) {
+    SCOPED_TRACE("state " + std::to_string(state));
+    const std::string payload = RawOptions(0x40, state, 0);
+    PayloadReader r(payload.data(), payload.size());
+    WireQueryOptions wire;
+    EXPECT_FALSE(wire.Decode(&r));
+  }
 }
 
 TEST(WireCodecTest, ValuesRoundTrip) {
@@ -463,9 +511,10 @@ TEST_F(ServerTest, PrepareExecuteHitsSharedPlanCache) {
   EXPECT_EQ(first.rows[0][0].Compare(second.rows[0][0]), 0);
 
   // The server's sessions share the engine's plan cache, so the repeat
-  // execution is a cache hit — unless caching is disabled process-wide or
-  // bypassed because the fault injector is live (RODIN_FAULTS).
-  if (PlanCacheEnabledByEnv() && !FaultInjector::Global().enabled()) {
+  // execution is a cache hit — unless it is bypassed because the fault
+  // injector is live (RODIN_FAULTS). Pinning the injector off here would
+  // race the server's worker threads, which read it.
+  if (!FaultInjector::Global().enabled()) {
     EXPECT_GE(engine_->plan_cache()->stats().hits, 1u);
   }
 }
@@ -743,6 +792,38 @@ TEST_F(ServerTest, RawProtocolRejectsQueryBeforeHello) {
   EXPECT_FALSE(raw.ReadFrame(&header, &payload));
   EXPECT_TRUE(EventuallyTrue(
       [](const Server::Stats& s) { return s.protocol_errors >= 1; }));
+}
+
+TEST_F(ServerTest, RawProtocolRejectsUndefinedSpillState) {
+  StartServer(40, 2, 4);
+  RawConnection raw;
+  ASSERT_TRUE(raw.Connect(server_->port()));
+  PayloadWriter hello;
+  hello.U32(kProtocolVersion);
+  ASSERT_TRUE(raw.Send(EncodeFrame(FrameType::kHello, 1, hello.Take())));
+  FrameHeader header;
+  std::string payload;
+  ASSERT_TRUE(raw.ReadFrame(&header, &payload));
+  ASSERT_EQ(header.type, FrameType::kHelloOk);
+
+  PayloadWriter w;
+  w.Str(kSimpleQuery);
+  const std::string query = w.Take() + RawOptions(0x40, /*spill_state=*/3);
+  ASSERT_TRUE(raw.Send(EncodeFrame(FrameType::kQuery, 2, query)));
+
+  ASSERT_TRUE(raw.ReadFrame(&header, &payload));
+  EXPECT_EQ(header.type, FrameType::kStatus);
+  PayloadReader r(payload.data(), payload.size());
+  Status status;
+  uint64_t rows;
+  double cost;
+  ASSERT_TRUE(DecodeStatusPayload(&r, &status, &rows, &cost));
+  EXPECT_EQ(status.code, Status::Code::kInvalidArgument);
+  EXPECT_NE(status.message.find("malformed QUERY"), std::string::npos);
+  EXPECT_FALSE(raw.ReadFrame(&header, &payload));
+  EXPECT_TRUE(EventuallyTrue(
+      [](const Server::Stats& s) { return s.protocol_errors >= 1; }));
+  EXPECT_EQ(server_->stats().queries_ok, 0u);
 }
 
 TEST_F(ServerTest, RawProtocolRefusesPipelinedSecondRequest) {

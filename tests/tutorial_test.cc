@@ -186,7 +186,7 @@ TEST_F(TutorialTest, PreparedQueriesSectionWorksAsWritten) {
   EXPECT_FALSE(first.plan_cached);
   const QueryRun second = pq.Run({.cold = true});
   ASSERT_TRUE(second.ok()) << second.error();
-  if (PlanCacheEnabledByEnv()) EXPECT_TRUE(second.plan_cached);
+  EXPECT_TRUE(second.plan_cached);
   EXPECT_EQ(second.answer.rows, first.answer.rows);
   EXPECT_EQ(second.measured_cost, first.measured_cost);
 

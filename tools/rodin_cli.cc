@@ -4,9 +4,9 @@
 //             [--optimizer=cost|deductive|naive|exhaustive|annealing]
 //             [--parallel=P] [--threads=N] [--exec-threads=N]
 //             [--batch-rows=N] [--deadline-ms=N] [--memory-budget-pages=N]
-//             [--spill] [--no-spill] [--spill-budget-pages=N]
+//             [--no-spill] [--spill-budget-pages=N]
 //             [--explain] [--plan-only]
-//             [--feedback] [--no-feedback] [--feedback-drift=X]
+//             [--feedback] [--feedback-drift=X]
 //             [--feedback-alpha=X] [--no-plan-cache] [--symbolic]
 //             [--trace-out=FILE] [--metrics] [--query=FILE] [--mutate=SPEC]
 //
@@ -31,26 +31,24 @@
 // Under --explain the report ends with the per-operator bytecode
 // disassembly the executor ran (see src/exec/vm/).
 //
-// --feedback / --no-feedback switch the adaptive cost-feedback loop
-// (measured cardinalities correcting the optimizer's estimates, see
-// src/cost/feedback.h); omitted, the RODIN_FEEDBACK environment switch
-// decides (off by default). --feedback-drift sets the re-optimization
-// threshold (> 1; default 3.0: a cached plan whose measured cost strays 3x
-// from its estimate is demoted and re-optimized) and --feedback-alpha the
-// correction EWMA weight in (0, 1]. Feedback never changes answers, only
-// plans — a single CLI invocation optimizes once, so the flags matter for
-// scripted warm-up comparisons and --mutate + --query combinations.
+// --feedback turns on the adaptive cost-feedback loop (measured
+// cardinalities correcting the optimizer's estimates, see
+// src/cost/feedback.h; off by default). --feedback-drift sets the
+// re-optimization threshold (> 1; default 3.0: a cached plan whose measured
+// cost strays 3x from its estimate is demoted and re-optimized) and
+// --feedback-alpha the correction EWMA weight in (0, 1]. Feedback never
+// changes answers, only plans — a single CLI invocation optimizes once, so
+// the flags matter for scripted warm-up comparisons and --mutate + --query
+// combinations.
 //
 // --no-plan-cache makes the run bypass the session's plan cache (a single
 // CLI invocation optimizes once either way; the flag matters for scripted
-// comparisons and mirrors QueryOptions::bypass_plan_cache; RODIN_PLAN_CACHE=0
-// disables caching process-wide).
+// comparisons and mirrors QueryOptions::bypass_plan_cache).
 //
 // --deadline-ms and --memory-budget-pages bound the run's lifecycle (see
-// docs/ROBUSTNESS.md). --spill / --no-spill select whether an over-budget
-// operator working set spills to disk (graceful degradation; the default)
-// or fails fast with resource_exhausted; omitted, the RODIN_SPILL
-// environment switch decides. --spill-budget-pages bounds the temp-page
+// docs/ROBUSTNESS.md). An over-budget operator working set spills to disk
+// (graceful degradation); --no-spill makes it fail fast with
+// resource_exhausted instead. --spill-budget-pages bounds the temp-page
 // ledger alone — unlike --memory-budget-pages it never clamps the buffer
 // pool, so spilling can be forced while accounting stays identical.
 // On failure the exit code is the Status taxonomy's
@@ -104,14 +102,14 @@ struct CliOptions {
   // session and comes back as invalid_argument (exit 12).
   std::optional<size_t> exec_threads;
   std::optional<size_t> batch_rows;
-  // Unset = RODIN_FEEDBACK environment default; 0 tuning values = inherit.
-  std::optional<bool> feedback;
+  // 0 tuning values = inherit.
+  bool feedback = false;
   double feedback_drift = 0;
   double feedback_alpha = 0;
   uint64_t deadline_ms = 0;   // 0 = no deadline
   uint64_t memory_budget_pages = 0;  // 0 = unlimited
-  // Unset = RODIN_SPILL environment default (on); 0 budget = inherit.
-  std::optional<bool> spill;
+  // 0 budget = inherit.
+  bool spill = true;
   uint64_t spill_budget_pages = 0;
   bool explain = false;
   bool plan_only = false;
@@ -383,9 +381,9 @@ void Usage() {
       "annealing]\n"
       "                 [--parallel=P] [--threads=N] [--exec-threads=N]\n"
       "                 [--batch-rows=N] [--deadline-ms=N]\n"
-      "                 [--memory-budget-pages=N] [--spill] [--no-spill]\n"
+      "                 [--memory-budget-pages=N] [--no-spill]\n"
       "                 [--spill-budget-pages=N] [--explain] [--plan-only]\n"
-      "                 [--feedback] [--no-feedback] [--feedback-drift=X]\n"
+      "                 [--feedback] [--feedback-drift=X]\n"
       "                 [--feedback-alpha=X]\n"
       "                 [--no-plan-cache] [--symbolic] [--trace-out=FILE]\n"
       "                 [--metrics] [--query=FILE] [--mutate=SPEC]\n"
@@ -473,14 +471,10 @@ int main(int argc, char** argv) {
       options.mutate_spec = value;
     } else if (ParseFlag(argv[i], "trace-out", &value)) {
       options.trace_out = value;
-    } else if (std::strcmp(argv[i], "--spill") == 0) {
-      options.spill = true;
     } else if (std::strcmp(argv[i], "--no-spill") == 0) {
       options.spill = false;
     } else if (std::strcmp(argv[i], "--feedback") == 0) {
       options.feedback = true;
-    } else if (std::strcmp(argv[i], "--no-feedback") == 0) {
-      options.feedback = false;
     } else if (ParseFlag(argv[i], "feedback-drift", &value)) {
       options.feedback_drift = std::stod(value);
     } else if (ParseFlag(argv[i], "feedback-alpha", &value)) {
