@@ -177,15 +177,6 @@ void BM_BatchedScanJoin(benchmark::State& state) {
 BENCHMARK(BM_BatchedScanJoin)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void BM_BatchedScanJoinHash(benchmark::State& state) {
-  ExecOptions options;
-  options.hash_equijoin = true;
-  options.exec_threads = static_cast<size_t>(state.range(0));
-  RunOnce(ScanCase(), options, state);
-}
-BENCHMARK(BM_BatchedScanJoinHash)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
 // E14 — compiled expression evaluation over bound navigation, on the
 // eval-bound and navigation-bound shapes. The batched engine compiles every
 // operator expression; these rows track its wall time.

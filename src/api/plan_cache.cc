@@ -192,24 +192,19 @@ std::string ComposeFingerprint(const std::string& graph_digest,
   key += "\n";
   key += physical_identity;
   key += StrFormat(
-      "\ncost{pr=%.17g;ev=%.17g;mw=%.17g;mat=%d;pd=%u;po=%.17g;"
-      "srw=%.17g;mbp=%llu}",
-      cost_params.pr, cost_params.ev_tuple, cost_params.method_weight,
-      cost_params.include_materialization ? 1 : 0, cost_params.parallel_degree,
-      cost_params.parallel_overhead, cost_params.spill_rw,
+      "\ncost{pr=%.17g;ev=%.17g;mw=%.17g;pd=%u;mbp=%llu}", cost_params.pr,
+      cost_params.ev_tuple, cost_params.method_weight,
+      cost_params.parallel_degree,
       static_cast<unsigned long long>(cost_params.memory_budget_pages));
   const TransformOptions& t = options.transform;
   key += StrFormat(
-      "\nopt{gen=%s;seed=%llu;threads=%zu;fold=%d;naive=%d;"
-      "push=%d%d%d;always=%d;never=%d;rand=%s;moves=%zu;stop=%zu;"
-      "restarts=%zu;temp=%.17g;cool=%.17g}",
+      "\nopt{gen=%s;seed=%llu;fold=%d;naive=%d;always=%d;never=%d;rand=%s;"
+      "moves=%zu;stop=%zu;restarts=%zu}",
       GenStrategyName(options.gen_strategy),
-      static_cast<unsigned long long>(options.seed), options.search_threads,
+      static_cast<unsigned long long>(options.seed),
       options.fold_views ? 1 : 0, options.naive_fixpoint ? 1 : 0,
-      t.enable_push_sel ? 1 : 0, t.enable_push_join ? 1 : 0,
-      t.enable_push_proj ? 1 : 0, t.always_push ? 1 : 0, t.never_push ? 1 : 0,
-      RandStrategyName(t.rand), t.rand_moves, t.rand_local_stop,
-      t.rand_restarts, t.sa_initial_temp, t.sa_cooling);
+      t.always_push ? 1 : 0, t.never_push ? 1 : 0, RandStrategyName(t.rand),
+      t.rand_moves, t.rand_local_stop, t.rand_restarts);
   return key;
 }
 

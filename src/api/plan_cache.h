@@ -122,11 +122,13 @@ class PlanCache {
 ///     clustering, indexes, buffer capacity, per-extent page/instance
 ///     counts — see PhysicalIdentity);
 ///   - every CostParams field;
-///   - the optimizer-relevant knobs: seed, search_threads, gen strategy,
-///     fold_views, naive_fixpoint and all TransformOptions fields.
-/// Lifecycle knobs (deadline / cancel / memory budget) and executor knobs
-/// (batch_rows / exec_threads / hash_equijoin) are deliberately excluded:
-/// they never change the chosen plan, only how (long) it runs.
+///   - the optimizer-relevant knobs: seed, gen strategy, fold_views,
+///     naive_fixpoint and all TransformOptions fields.
+/// Lifecycle knobs (deadline / cancel), executor knobs (batch_rows /
+/// exec_threads) and search_threads are deliberately excluded: they never
+/// change the chosen plan, only how (long) it runs. The randomized search
+/// picks the identical plan at any thread count (see ParallelStrategy), and
+/// a plan cut short by a deadline is never cached.
 ///
 /// `graph_digest` lets PreparedQuery amortize the graph rendering; pass
 /// null to derive it from `graph`.

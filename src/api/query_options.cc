@@ -1,5 +1,7 @@
 #include "api/query_options.h"
 
+#include <cmath>
+
 namespace rodin {
 
 Status QueryOptions::Validate() const {
@@ -21,6 +23,14 @@ Status QueryOptions::Validate() const {
         "batch_rows must be >= 1 when set (omit it to inherit the "
         "executor default)");
   }
+  // NaN fails every comparison below, so non-finite values (which arrive
+  // as raw doubles in wire QUERY frames) are refused first.
+  if (!std::isfinite(feedback.drift_threshold) ||
+      !std::isfinite(feedback.ewma_alpha)) {
+    return Status::Error(
+        Status::Code::kInvalidArgument,
+        "feedback.drift_threshold and feedback.ewma_alpha must be finite");
+  }
   if (feedback.drift_threshold != 0 && feedback.drift_threshold <= 1) {
     return Status::Error(
         Status::Code::kInvalidArgument,
@@ -40,7 +50,6 @@ ExecOptions QueryOptions::MakeExecOptions(const QueryContext* armed) const {
   ExecOptions exec;
   if (batch_rows.has_value()) exec.batch_rows = *batch_rows;
   if (exec_threads.has_value()) exec.exec_threads = *exec_threads;
-  exec.hash_equijoin = hash_equijoin;
   exec.query = armed;
   return exec;
 }

@@ -45,7 +45,7 @@ struct FeedbackOptions {
 ///
 /// The single inherit/override rule, uniform across every knob:
 ///
-///   - a plain field (cold, hash_equijoin, ...) is taken literally;
+///   - a plain field (cold, bypass_plan_cache, ...) is taken literally;
 ///   - an std::optional field is an *override*: nullopt means "inherit the
 ///     session / executor default", and an engaged value is taken
 ///     literally — including 0, which for `seed` is a legal seed and for
@@ -90,11 +90,6 @@ struct QueryOptions {
   /// Rows per executor batch (nullopt = executor default, 1024; engaged 0 =
   /// kInvalidArgument). Also identical accounting for any value.
   std::optional<size_t> batch_rows;
-  /// Build a hash table over the inner of an equi nested-loop join. Same
-  /// rows and order, but honestly different predicate/page accounting —
-  /// opt-in and excluded from the accounting-identity guarantee (see
-  /// ExecOptions::hash_equijoin, which this lowers onto).
-  bool hash_equijoin = false;
   /// Skip the session's plan cache for this run: neither look up nor insert.
   /// The run optimizes from scratch exactly as a cache miss would.
   bool bypass_plan_cache = false;

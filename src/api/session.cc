@@ -164,6 +164,46 @@ Session::EffectiveFeedback Session::ResolveFeedback(
   return out;
 }
 
+void Session::HarvestFeedback(FeedbackRegistry& registry, PlanCache& cache,
+                              const EffectiveFeedback& fb,
+                              const OptimizeResult& optimized,
+                              const Executor& exec, uint64_t stats_version,
+                              bool plan_cached, const std::string& cache_key,
+                              obs::Tracer* tracer) {
+  // Only complete, clean runs teach the registry. Anything retried under
+  // the injector or truncated by an anytime budget contributes zero
+  // observations — a perturbed run's measurements describe the
+  // perturbation, not the data.
+  if (FaultInjector::Global().enabled()) return;
+  for (const StageReport& s : optimized.stages) {
+    if (s.truncated) return;
+  }
+  uint64_t span = 0;
+  if (tracer != nullptr) span = tracer->Begin("feedback.harvest", "cost");
+  const size_t harvested = registry.Harvest(
+      FlattenPlanStats(*optimized.plan, exec.op_stats()), stats_version,
+      fb.alpha);
+  if (tracer != nullptr) {
+    tracer->AddArg(span, "observations", static_cast<double>(harvested));
+    tracer->End(span);
+  }
+  // Drift demotion: a *cached* plan whose measured cost strayed >= threshold
+  // from its estimate is evicted so the next acquisition re-optimizes under
+  // current corrections. Freshly optimized plans are never demoted — they
+  // already used the latest corrections, and demoting them would re-run the
+  // pipeline forever.
+  const double measured = exec.MeasuredCost();
+  if (!plan_cached || cache_key.empty() || measured <= 0 ||
+      optimized.cost <= 0) {
+    return;
+  }
+  const double ratio =
+      std::max(measured / optimized.cost, optimized.cost / measured);
+  if (ratio >= fb.drift_threshold && cache.Erase(cache_key)) {
+    registry.NoteDemotion(cache_key, ratio);
+  }
+}
+
 void Session::MaybeRefreshStats() {
   const uint64_t version = tm_->stats_version();
   if (stats_ != nullptr && version == stats_version_) return;
@@ -458,42 +498,11 @@ QueryRun Session::RunImpl(const QueryGraph& graph, const QueryOptions& options,
     e.set_tracer(nullptr);
     db_->buffer_pool().PublishMetrics();
 
-    // Feedback harvest: only complete, clean runs teach the registry.
-    // Anything retried under the injector, truncated by an anytime budget,
-    // or failed outright contributes zero observations — a perturbed run's
-    // measurements describe the perturbation, not the data.
-    if (fb.on && run.status.ok() && !FaultInjector::Global().enabled()) {
-      bool truncated = false;
-      for (const StageReport& s : run.optimized.stages) {
-        truncated |= s.truncated;
-      }
-      if (!truncated) {
-        uint64_t span = 0;
-        if (options.collect_trace) {
-          span = tracer.Begin("feedback.harvest", "cost");
-        }
-        const size_t harvested = feedback_->Harvest(
-            FlattenPlanStats(*run.optimized.plan, e.op_stats()),
-            stats_version_, fb.alpha);
-        if (options.collect_trace) {
-          tracer.AddArg(span, "observations", static_cast<double>(harvested));
-          tracer.End(span);
-        }
-        // Drift demotion: a *cached* plan whose measured cost strayed
-        // >= threshold from its estimate is evicted so the next acquisition
-        // re-optimizes under current corrections. Freshly optimized plans
-        // are never demoted — they already used the latest corrections, and
-        // demoting them would re-run the pipeline forever.
-        if (run.plan_cached && !cache_key.empty() && run.measured_cost > 0 &&
-            run.optimized.cost > 0) {
-          const double ratio =
-              std::max(run.measured_cost / run.optimized.cost,
-                       run.optimized.cost / run.measured_cost);
-          if (ratio >= fb.drift_threshold && plan_cache_->Erase(cache_key)) {
-            feedback_->NoteDemotion(cache_key, ratio);
-          }
-        }
-      }
+    // A failed run teaches the feedback registry nothing.
+    if (fb.on && run.status.ok()) {
+      HarvestFeedback(*feedback_, *plan_cache_, fb, run.optimized, e,
+                      stats_version_, run.plan_cached, cache_key,
+                      options.collect_trace ? &tracer : nullptr);
     }
   }
   if (options.collect_trace) run.trace = tracer.Finish();
@@ -598,38 +607,18 @@ ResultCursor Session::QueryImpl(const QueryGraph& graph,
   // session), and the keepalive state carries the plan + op stats.
   std::shared_ptr<FeedbackRegistry> freg = fb.on ? feedback_ : nullptr;
   std::shared_ptr<PlanCache> cache = plan_cache_;
-  bool truncated = false;
-  for (const StageReport& s : optimized.stages) truncated |= s.truncated;
   const uint64_t harvest_version = stats_version_;
-  const double alpha = fb.alpha;
-  const double drift_threshold = fb.drift_threshold;
-  const double est_cost = optimized.cost;
   std::shared_ptr<QueryState> keep = state;
-  cursor.set_on_finish([db, live, tm, freg, cache, truncated, harvest_version,
-                        alpha, drift_threshold, est_cost, cached, cache_key,
-                        keep](const Status& st, bool drained) {
+  cursor.set_on_finish([db, live, tm, freg, cache, fb, harvest_version, cached,
+                        cache_key, keep](const Status& st, bool drained) {
     db->buffer_pool().PublishMetrics();
     live->fetch_sub(1);
     tm->EndCursor();
     // Only a stream pulled to genuine exhaustion has complete measurements;
     // cancelled, aborted or abandoned cursors teach the registry nothing.
-    if (freg == nullptr || !drained || !st.ok() || truncated ||
-        FaultInjector::Global().enabled()) {
-      return;
-    }
-    freg->Harvest(FlattenPlanStats(*keep->optimized.plan,
-                                   keep->exec.op_stats()),
-                  harvest_version, alpha);
-    if (cached && !cache_key.empty() && est_cost > 0) {
-      const double measured = keep->exec.MeasuredCost();
-      if (measured > 0) {
-        const double ratio =
-            std::max(measured / est_cost, est_cost / measured);
-        if (ratio >= drift_threshold && cache->Erase(cache_key)) {
-          freg->NoteDemotion(cache_key, ratio);
-        }
-      }
-    }
+    if (freg == nullptr || !drained || !st.ok()) return;
+    HarvestFeedback(*freg, *cache, fb, keep->optimized, keep->exec,
+                    harvest_version, cached, cache_key, nullptr);
   });
   cursor.set_keepalive(std::move(state));
   return cursor;

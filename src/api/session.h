@@ -339,6 +339,21 @@ class Session {
   };
   static EffectiveFeedback ResolveFeedback(const QueryOptions& options);
 
+  /// Feeds one successful, feedback-on run back into the loop: harvests the
+  /// measured cardinalities of `exec`'s op stats into `registry` and, for a
+  /// plan served from the cache, erases `cache_key` when the measured cost
+  /// drifted >= fb.drift_threshold from the estimate in either direction.
+  /// A run whose optimization was truncated, or one under an enabled fault
+  /// injector, contributes nothing. Static because a cursor's finish hook
+  /// calls it, possibly after the session is gone. With a `tracer` the
+  /// harvest records a `feedback.harvest` span.
+  static void HarvestFeedback(FeedbackRegistry& registry, PlanCache& cache,
+                              const EffectiveFeedback& fb,
+                              const OptimizeResult& optimized,
+                              const Executor& exec, uint64_t stats_version,
+                              bool plan_cached, const std::string& cache_key,
+                              obs::Tracer* tracer);
+
   QueryRun RunImpl(const QueryGraph& graph, const QueryOptions& options,
                    Executor* exec, const std::string* graph_digest);
   ResultCursor QueryImpl(const QueryGraph& graph, const QueryOptions& options,

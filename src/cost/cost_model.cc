@@ -9,6 +9,13 @@ namespace rodin {
 
 namespace {
 
+// Startup cost each operator pays per parallel worker under the estimate-only
+// parallel bracket (see CostParams::parallel_degree).
+constexpr double kParallelOverhead = 0.5;
+// Page writes plus read-backs the spill machinery makes per over-budget
+// temp page, in units of `pr`.
+constexpr double kSpillReadWrite = 2.0;
+
 // Estimated pages of a materialized intermediate of `rows` rows with
 // `ncols` columns (16 bytes per column).
 double TempPages(double rows, size_t ncols) {
@@ -18,14 +25,14 @@ double TempPages(double rows, size_t ncols) {
 
 // Spill penalty for a materialized working set: over the configured memory
 // budget, every page is written out and read back by the spill machinery
-// (spill_rw * pr per page). Zero without a budget, so estimates are
+// (kSpillReadWrite * pr per page). Zero without a budget, so estimates are
 // unchanged for unbudgeted queries.
 double SpillPenalty(const CostParams& p, double temp_pages) {
   if (p.memory_budget_pages == 0 ||
       temp_pages <= static_cast<double>(p.memory_budget_pages)) {
     return 0;
   }
-  return temp_pages * p.spill_rw * p.pr;
+  return temp_pages * kSpillReadWrite * p.pr;
 }
 
 }  // namespace
@@ -389,7 +396,6 @@ double CostModel::CostEJ(PTNode* node, FixMemo* memo) const {
     } else {
       const double temp_pages = TempPages(right->est_rows, right->cols.size());
       cost += right_cost;  // produce once
-      if (params_.include_materialization) cost += temp_pages * params_.pr;
       cost += RescanIO(outer_rows, temp_pages) * params_.pr;
       // Over-budget join builds spill their payload to disk.
       cost += SpillPenalty(params_, temp_pages);
@@ -545,9 +551,6 @@ double CostModel::CostFix(PTNode* node, FixMemo* memo) const {
   // Over-budget per-iteration deltas spill their payload to disk.
   cost += iters *
           SpillPenalty(params_, TempPages(avg_delta, node->cols.size()));
-  if (params_.include_materialization) {
-    cost += TempPages(closure_rows, node->cols.size()) * params_.pr;
-  }
   node->est_iters = iters;
   node->est_rows = closure_rows;
   node->est_pages = TempPages(closure_rows, node->cols.size());
@@ -575,11 +578,10 @@ double CostModel::AnnotateRec(PTNode* node, FixMemo* memo) const {
     // recursive arm is already parallel-adjusted; the loop itself does not
     // divide, and each iteration pays a synchronization overhead.
     const double iters = std::max(1.0, node->est_iters);
-    adjusted = cost + params_.parallel_overhead * params_.parallel_degree *
-                          iters;
+    adjusted = cost + kParallelOverhead * params_.parallel_degree * iters;
   } else {
     adjusted = children_cost + marginal / params_.parallel_degree +
-               params_.parallel_overhead * params_.parallel_degree;
+               kParallelOverhead * params_.parallel_degree;
   }
   node->est_cost = adjusted;
   return adjusted;

@@ -18,26 +18,21 @@ struct CostParams {
   double pr = 1.0;          // one page read
   double ev_tuple = 0.02;   // one predicate evaluation on one tuple
   double method_weight = 0.02;  // scales Attribute::method_cost per call
-  /// Whether to charge materialization of intermediate results (the paper's
-  /// Figure 5 explicitly omits it; off by default).
-  bool include_materialization = false;
 
   /// Degree of intra-operator parallelism for COST ESTIMATION ONLY (the
   /// paper's conclusion notes the DBS3 cost model "takes parallelism into
   /// consideration"; the executor here stays serial). Bracket model: each
   /// operator's own work divides across `parallel_degree` workers, every
-  /// operator pays `parallel_overhead * parallel_degree` startup cost, and
-  /// fixpoint iterations remain sequential barriers.
+  /// operator pays a fixed startup cost per worker (kParallelOverhead in
+  /// cost_model.cc), and fixpoint iterations remain sequential barriers.
   unsigned parallel_degree = 1;
-  double parallel_overhead = 0.5;
 
   /// Spill costing: when the query's memory budget is known at planning
   /// time (memory_budget_pages > 0), a materialized working set larger
-  /// than the budget pays an extra spill_rw * pr per page — the write-out
-  /// plus read-back of the spill machinery — steering the optimizer toward
-  /// plans whose temps stay resident. A zero budget (the default) adds
-  /// nothing, so estimates for unbudgeted queries are unchanged.
-  double spill_rw = 2.0;
+  /// than the budget pays an extra kSpillReadWrite * pr per page
+  /// (cost_model.cc) — the write-out plus read-back of the spill machinery —
+  /// steering the optimizer toward plans whose temps stay resident. A zero budget (the default) adds nothing,
+  /// so estimates for unbudgeted queries are unchanged.
   size_t memory_budget_pages = 0;
 };
 

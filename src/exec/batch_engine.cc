@@ -52,7 +52,6 @@ struct ExecCtx {
   Database* db = nullptr;
   size_t batch_rows = 1024;
   size_t threads = 1;
-  bool hash_equijoin = false;
   bool collect_op_stats = false;
   ThreadPool* pool = nullptr;
   std::map<std::string, FixCacheEntry>* fix_cache = nullptr;
@@ -952,10 +951,6 @@ class IndexJoinOp : public Op {
 /// like any other: it is charged to the temp-page ledger while probing, and
 /// when it does not fit (or the inner spilled) each pair captures its inner
 /// row's slots itself.
-///
-/// With ExecOptions::hash_equijoin and an extractable equi conjunct, the
-/// inner is loaded into a hash table instead — same result rows in the
-/// same order, different (honest) accounting.
 class NLJoinOp : public Op {
  public:
   NLJoinOp(ExecCtx* ctx, const PTNode* node) : Op(ctx, node) {
@@ -986,12 +981,6 @@ class NLJoinOp : public Op {
   }
 
  private:
-  struct ValueLess {
-    bool operator()(const Value& a, const Value& b) const {
-      return a.Compare(b) < 0;
-    }
-  };
-
   void Open() {
     left_ = DrainOp(children_[0].get());
     right_ = DrainOp(children_[1].get());
@@ -1013,18 +1002,14 @@ class NLJoinOp : public Op {
         has_delta_temp_ = true;
       }
     }
-    if (!spill_inner) CaptureInnerMemo();
-    // Hash build first: key evaluation (and its accounting) runs over the
-    // in-memory rows exactly as without spilling. Only then do the build
-    // rows move to disk; probes read them back by index.
-    if (ctx_->hash_equijoin) TryBuildHash();
-    if (spill_inner) {
-      right_spill_ = SpillRows(ctx_, right_.rows);
-      right_count_ = right_.rows.size();
-      right_.rows.clear();
-      right_.rows.shrink_to_fit();
-      if (hash_built_) ++ctx_->spill.passes;
+    if (!spill_inner) {
+      CaptureInnerMemo();
+      return;
     }
+    right_spill_ = SpillRows(ctx_, right_.rows);
+    right_count_ = right_.rows.size();
+    right_.rows.clear();
+    right_.rows.shrink_to_fit();
   }
 
   /// Inner slots, once per in-memory inner row, when the memo fits the
@@ -1059,67 +1044,6 @@ class NLJoinOp : public Op {
           (inner_memo_.bytes() + kPageSizeBytes - 1) / kPageSizeBytes;
       ctx_->live_temp_pages += inner_memo_pages_;
     }
-  }
-
-  /// Picks the first Eq conjunct whose sides are a path of the outer and a
-  /// path of the inner (OperandSide); builds inner-key -> row-index
-  /// buckets, morsel-parallel (keys merged in inner-row order).
-  void TryBuildHash() {
-    if (node_->pred == nullptr) return;
-    const size_t nl = children_[0]->schema().cols.size();
-    auto side = [&](const ExprPtr& e) {
-      return e->kind() == ExprKind::kVarPath ? OperandSide(*e, schema_, nl)
-                                             : JoinSide::kBoth;
-    };
-    for (const ExprPtr& c : node_->pred->Conjuncts()) {
-      if (c->kind() != ExprKind::kCompare ||
-          c->compare_op() != CompareOp::kEq) {
-        continue;
-      }
-      const ExprPtr& l = c->children()[0];
-      const ExprPtr& r = c->children()[1];
-      if (side(l) == JoinSide::kOuter && side(r) == JoinSide::kInner) {
-        probe_ = l;
-        build_ = r;
-        break;
-      }
-      if (side(r) == JoinSide::kOuter && side(l) == JoinSide::kInner) {
-        probe_ = r;
-        build_ = l;
-        break;
-      }
-    }
-    if (probe_ == nullptr) return;
-    probe_chunk_ = CompileMultiChunk(ctx_, probe_, children_[0]->schema());
-    build_chunk_ = CompileMultiChunk(ctx_, build_, children_[1]->schema());
-    // Build: evaluate the inner key expression per inner row. Key rows are
-    // {key, row_index} pairs funneled through the morsel row sink.
-    std::vector<Row> keyed;
-    ctx_->ParallelItems(
-        right_.rows.size(),
-        [this](size_t i, EvalContext* ec, std::vector<Row>* rows) {
-          std::vector<Value> keys =
-              vm::RunMulti(build_chunk_, ec, right_.rows[i], ec->vm);
-          std::sort(keys.begin(), keys.end(),
-                    [](const Value& a, const Value& b) {
-                      return a.Compare(b) < 0;
-                    });
-          keys.erase(std::unique(keys.begin(), keys.end(),
-                                 [](const Value& a, const Value& b) {
-                                   return a.Compare(b) == 0;
-                                 }),
-                     keys.end());
-          for (Value& k : keys) {
-            rows->push_back(
-                Row{std::move(k), Value::Int(static_cast<int64_t>(i))});
-          }
-        },
-        &log_, &keyed);
-    for (Row& kr : keyed) {
-      hash_[std::move(kr[0])].push_back(
-          static_cast<size_t>(kr[1].AsInt()));
-    }
-    hash_built_ = true;
   }
 
   /// Captures the outer slots of `lrow`, the row this morsel probes next,
@@ -1178,68 +1102,46 @@ class NLJoinOp : public Op {
   void ProbeChunk() {
     const size_t n = std::min(ctx_->Quantum(), left_.rows.size() - pos_);
     const size_t base = pos_;
-    if (hash_built_) {
-      ctx_->ParallelItems(
-          n,
-          [this, base](size_t i, EvalContext* ec, std::vector<Row>* rows) {
-            const Row& lrow = left_.rows[base + i];
-            const std::vector<Value> keys =
-                vm::RunMulti(probe_chunk_, ec, lrow, ec->vm);
-            std::vector<size_t> cand;
-            for (const Value& k : keys) {
-              auto it = hash_.find(k);
-              if (it == hash_.end()) continue;
-              cand.insert(cand.end(), it->second.begin(), it->second.end());
+    // Each outer row streams the whole spilled inner once (one read-back
+    // pass per outer row; counted on the coordinator).
+    if (right_spill_ != nullptr) ctx_->spill.passes += n;
+    const size_t rcount =
+        right_spill_ != nullptr ? right_count_ : right_.rows.size();
+    ctx_->ParallelItems(
+        n,
+        [this, base, rcount](size_t i, EvalContext* ec,
+                             std::vector<Row>* rows) {
+          const Row& lrow = left_.rows[base + i];
+          if (base + i != 0) {
+            // Re-scan charge for the inner, positioned before this outer
+            // row's probe work (the whole-table per-outer-row order).
+            if (!inner_pages_.empty()) {
+              for (PageId p : inner_pages_) ec->charger->Charge(p);
+            } else if (temp_.pages > 0) {
+              ChargeTempScan(temp_, ec->charger);
             }
-            if (cand.empty()) return;
-            std::sort(cand.begin(), cand.end());
-            cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-            const vm::PairSlots slots = BeginOuterRow(ec, lrow);
-            for (size_t ri : cand) ProbePair(ec, lrow, slots, ri, rows);
-          },
-          &log_, &pending_);
-    } else {
-      // Each outer row streams the whole spilled inner once (one read-back
-      // pass per outer row; counted on the coordinator).
-      if (right_spill_ != nullptr) ctx_->spill.passes += n;
-      const size_t rcount =
-          right_spill_ != nullptr ? right_count_ : right_.rows.size();
-      ctx_->ParallelItems(
-          n,
-          [this, base, rcount](size_t i, EvalContext* ec,
-                               std::vector<Row>* rows) {
-            const Row& lrow = left_.rows[base + i];
-            if (base + i != 0) {
-              // Re-scan charge for the inner, positioned before this outer
-              // row's probe work (the whole-table per-outer-row order).
-              if (!inner_pages_.empty()) {
-                for (PageId p : inner_pages_) ec->charger->Charge(p);
-              } else if (temp_.pages > 0) {
-                ChargeTempScan(temp_, ec->charger);
-              }
-              // Delta inners are charged by the delta scan once; re-scans
-              // of the delta temp are charged here.
-              if (has_delta_temp_) ChargeTempScan(delta_temp_, ec->charger);
+            // Delta inners are charged by the delta scan once; re-scans
+            // of the delta temp are charged here.
+            if (has_delta_temp_) ChargeTempScan(delta_temp_, ec->charger);
+          }
+          if (rcount == 0) return;
+          vm::PairSlots slots = BeginOuterRow(ec, lrow);
+          if (!has_inner_memo_) {
+            for (size_t ri = 0; ri < rcount; ++ri) {
+              ProbePair(ec, lrow, slots, ri, rows);
             }
-            if (rcount == 0) return;
-            vm::PairSlots slots = BeginOuterRow(ec, lrow);
-            if (!has_inner_memo_) {
-              for (size_t ri = 0; ri < rcount; ++ri) {
-                ProbePair(ec, lrow, slots, ri, rows);
-              }
-              return;
-            }
-            slots.replay = !ReplayInnerBlock(ec);
-            *ec->predicate_evals += rcount;
-            std::vector<size_t>& matches = ec->vm->matches;
-            matches.clear();
-            vm::RunPairs(pred_.pair, ec, slots, rcount, &matches, ec->vm);
-            for (size_t ri : matches) {
-              rows->push_back(Joined(lrow, right_.rows[ri]));
-            }
-          },
-          &log_, &pending_);
-    }
+            return;
+          }
+          slots.replay = !ReplayInnerBlock(ec);
+          *ec->predicate_evals += rcount;
+          std::vector<size_t>& matches = ec->vm->matches;
+          matches.clear();
+          vm::RunPairs(pred_.pair, ec, slots, rcount, &matches, ec->vm);
+          for (size_t ri : matches) {
+            rows->push_back(Joined(lrow, right_.rows[ri]));
+          }
+        },
+        &log_, &pending_);
     pos_ += n;
   }
 
@@ -1257,12 +1159,6 @@ class NLJoinOp : public Op {
   vm::SlotMemo inner_memo_;
   bool has_inner_memo_ = false;
   uint64_t inner_memo_pages_ = 0;
-  ExprPtr probe_;
-  ExprPtr build_;
-  std::map<Value, std::vector<size_t>, ValueLess> hash_;
-  bool hash_built_ = false;
-  vm::BytecodeChunk probe_chunk_;
-  vm::BytecodeChunk build_chunk_;
 };
 
 // --- Union -----------------------------------------------------------------
@@ -1535,7 +1431,6 @@ BatchEngine::BatchEngine(const Config& config, const PTNode& plan)
   ctx.db = config.db;
   ctx.batch_rows = std::max<size_t>(1, config.batch_rows);
   ctx.threads = std::max<size_t>(1, config.exec_threads);
-  ctx.hash_equijoin = config.hash_equijoin;
   ctx.collect_op_stats = config.collect_op_stats;
   ctx.pool = config.pool;
   ctx.fix_cache = config.fix_cache;

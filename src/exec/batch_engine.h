@@ -38,7 +38,6 @@ class BatchEngine {
     Database* db = nullptr;
     size_t batch_rows = 1024;
     size_t exec_threads = 1;
-    bool hash_equijoin = false;
     ThreadPool* pool = nullptr;  // shared worker pool; null = inline
     std::map<std::string, FixCacheEntry>* fix_cache = nullptr;
     bool collect_op_stats = false;

@@ -173,7 +173,6 @@ std::unique_ptr<BatchEngine> Executor::MakeEngine(const PTNode& plan,
   cfg.db = db_;
   cfg.batch_rows = options.batch_rows;
   cfg.exec_threads = options.exec_threads;
-  cfg.hash_equijoin = options.hash_equijoin;
   cfg.pool = PoolFor(options.exec_threads);
   cfg.fix_cache = &fix_cache_;
   cfg.collect_op_stats = collect_op_stats_;

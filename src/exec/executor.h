@@ -63,7 +63,7 @@ size_t EffectiveSpillBudgetPages(const QueryContext* query);
 /// kResourceExhausted Status::detail (see PackResourceDetail) and used to
 /// label spill metrics.
 enum class SpillOpTag : uint8_t {
-  kJoinBuild = 1,  // equijoin inner materialization / hash build payload
+  kJoinBuild = 1,  // nested-loop join inner materialization
   kFixDelta = 2,   // semi-naive per-iteration delta table
   kDedup = 3,      // dedup-Proj table
   kFixCache = 4,   // memoized fixpoint result
@@ -138,12 +138,6 @@ uint64_t TempRowPages(size_t ncols);
 struct ExecOptions {
   size_t batch_rows = 1024;   // rows per operator batch (min 1)
   size_t exec_threads = 1;    // worker threads for morsel-parallel operators
-  /// Build a hash table over the inner of an equi nested-loop join instead
-  /// of scanning it per outer row. Produces the identical result set and
-  /// order, but honestly changes predicate_evals and page accounting (fewer
-  /// tuple comparisons, no per-outer-row re-scan charges), so it is opt-in
-  /// and excluded from the accounting-identity guarantee.
-  bool hash_equijoin = false;
   /// The run's lifecycle budget (deadline / cancel / memory), referenced —
   /// never copied — from the QueryOptions' QueryContext. Null = unbounded.
   /// Polled on the coordinator thread only, per morsel batch and per

@@ -550,7 +550,7 @@ GenResult Generator::Run(GenStrategy strategy) {
       TransformOptions options;
       options.rand = RandStrategy::kIterativeImprovement;
       options.rand_moves = 200;
-      RandomizedImprove(result.plan, ctx_, options);
+      ParallelStrategy(1).Improve(result.plan, ctx_, options);
       result.cost = ctx_.cost->Annotate(result.plan.get());
     }
     result.plans_explored = ctx_.plans_explored - explored_before;

@@ -382,14 +382,18 @@ uint64_t FnvMix(uint64_t h, const void* data, size_t n) {
   return h;
 }
 
+// Simulated annealing schedule: the start temperature as a fraction of the
+// start plan's cost, and the factor it cools by after each uphill draw.
+constexpr double kSaInitialTemp = 0.1;
+constexpr double kSaCooling = 0.9;
+
 /// One improvement start: the II/SA move loop of paper §4.5 on `cur`
 /// (annotated, cost `cur_cost`), promoting improvements into
-/// (best, best_cost). Shared by the sequential and the parallel strategies
-/// so both explore the exact same neighbourhood per RNG stream.
+/// (best, best_cost).
 void ImproveMoves(PTPtr& cur, double& cur_cost, PTPtr& best, double& best_cost,
                   OptContext& ctx, const TransformOptions& options,
                   RestartReport* report) {
-  double temp = options.sa_initial_temp * std::max(1.0, cur_cost);
+  double temp = kSaInitialTemp * std::max(1.0, cur_cost);
   size_t rejects = 0;
   for (size_t m = 0;
        m < options.rand_moves && rejects < options.rand_local_stop; ++m) {
@@ -416,7 +420,7 @@ void ImproveMoves(PTPtr& cur, double& cur_cost, PTPtr& best, double& best_cost,
         temp > 0) {
       accept = ctx.rng.NextDouble() <
                std::exp((cur_cost - cand_cost) / temp);
-      temp *= options.sa_cooling;
+      temp *= kSaCooling;
     }
     report->move_digest =
         FnvMix(report->move_digest, move->name().data(), move->name().size());
@@ -446,43 +450,6 @@ void ImproveMoves(PTPtr& cur, double& cur_cost, PTPtr& best, double& best_cost,
 const std::vector<Rule>& LocalMoves() {
   static const std::vector<Rule>& moves = *new std::vector<Rule>(BuildMoves());
   return moves;
-}
-
-RandReport RandomizedImprove(PTPtr& plan, OptContext& ctx,
-                             const TransformOptions& options) {
-  RandReport report;
-  report.initial_cost = ctx.cost->Annotate(plan.get());
-  report.final_cost = report.initial_cost;
-  if (options.rand == RandStrategy::kNone) return report;
-
-  PTPtr best = plan->Clone();
-  double best_cost = report.initial_cost;
-
-  for (size_t restart = 0; restart <= options.rand_restarts; ++restart) {
-    PTPtr cur = best->Clone();
-    double cur_cost = best_cost;
-    if (restart > 0) {
-      // Perturb: a few unconditional random moves to escape the basin.
-      for (int i = 0; i < 3; ++i) ApplyRandomMove(cur, ctx);
-      cur->InvalidateEstimates();
-      cur_cost = ctx.cost->Annotate(cur.get());
-    }
-    RestartReport rr;
-    ImproveMoves(cur, cur_cost, best, best_cost, ctx, options, &rr);
-    report.tried += rr.tried;
-    report.accepted += rr.accepted;
-    report.truncated = report.truncated || rr.truncated;
-    if (ctx.decisions != nullptr) {
-      for (MoveDecision& d : rr.moves) {
-        d.restart = restart;
-        ctx.decisions->moves.push_back(std::move(d));
-      }
-    }
-  }
-
-  plan = std::move(best);
-  report.final_cost = ctx.cost->Annotate(plan.get());
-  return report;
 }
 
 ParallelStrategy::ParallelStrategy(size_t threads)

@@ -15,16 +15,6 @@ namespace rodin {
 
 class ThreadPool;
 
-/// Instrumentation of one randomized-improvement run.
-struct RandReport {
-  size_t tried = 0;
-  size_t accepted = 0;
-  double initial_cost = 0;
-  double final_cost = 0;
-  /// The deadline / cancel tripped mid-search (anytime truncation).
-  bool truncated = false;
-};
-
 /// Instrumentation of one restart of the parallel search. Everything here
 /// depends only on (seed, restart index) — never on the worker that ran the
 /// restart or on completion order — so two runs with different thread
@@ -74,16 +64,16 @@ struct ParallelSearchReport {
 const std::vector<Rule>& LocalMoves();
 
 /// Randomized re-optimization (paper §4.5, [IC90]): Iterative Improvement
-/// or Simulated Annealing over the LocalMoves() neighbourhood, with restarts.
-/// `plan` is improved in place (annotated); returns the run report.
-RandReport RandomizedImprove(PTPtr& plan, OptContext& ctx,
-                             const TransformOptions& options);
-
-/// Parallel flavour of RandomizedImprove: the §4.5 restarts are independent
-/// searches from perturbed copies of the start plan — embarrassingly
-/// parallel — so they fan out across a worker pool and merge into a
-/// mutex-guarded best-plan accumulator (cost is compared against a relaxed
-/// atomic hint *before* the lock, keeping contention off the hot path).
+/// or Simulated Annealing over the LocalMoves() neighbourhood, with
+/// restarts. It is the one randomized search: transformPT runs it on both
+/// push alternatives and generatePT's kRandomized strategy on its greedy
+/// start, the latter with one thread.
+///
+/// The restarts are independent searches from perturbed copies of the start
+/// plan — embarrassingly parallel — so they fan out across a worker pool
+/// and merge into a mutex-guarded best-plan accumulator (cost is compared
+/// against a relaxed atomic hint *before* the lock, keeping contention off
+/// the hot path).
 ///
 /// Determinism: each restart draws from its own SplitMix64-derived RNG
 /// stream (Rng::Stream(base, restart)), results merge by (cost, restart

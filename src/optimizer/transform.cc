@@ -686,19 +686,19 @@ TransformResult TransformPT(PTPtr plan, OptContext& ctx,
     }
     any = false;
     const double before = pushed->est_cost;
-    if (options.enable_push_sel && PushSelThroughFix(pushed, ctx)) {
+    if (PushSelThroughFix(pushed, ctx)) {
       result.pushed_sel = any = true;
       ++result.push_applications;
       record_push("push-sel", before, pushed->est_cost);
       continue;
     }
-    if (options.enable_push_join && PushJoinThroughFix(pushed, ctx)) {
+    if (PushJoinThroughFix(pushed, ctx)) {
       result.pushed_join = any = true;
       ++result.push_applications;
       record_push("push-join", before, pushed->est_cost);
       continue;
     }
-    if (options.enable_push_proj && PushProjThroughFix(pushed, ctx)) {
+    if (PushProjThroughFix(pushed, ctx)) {
       result.pushed_proj = any = true;
       ++result.push_applications;
       record_push("push-proj", before, pushed->est_cost);
@@ -719,13 +719,13 @@ TransformResult TransformPT(PTPtr plan, OptContext& ctx,
   // same code path: with search_threads <= 1 the restarts run inline, and
   // because restarts use index-derived RNG streams the chosen plan — and
   // every counter — is identical for a given seed at any thread count.
-  RandReport report_a{};
-  RandReport report_b{};
+  ParallelSearchReport report_a;
+  ParallelSearchReport report_b;
   ParallelStrategy strategy(search_threads);
   auto improve = [&](PTPtr& alt, const char* label) {
     uint64_t s = 0;
     if (ctx.tracer != nullptr) s = ctx.tracer->Begin(label, "transformPT");
-    const ParallelSearchReport pr = strategy.Improve(alt, ctx, options);
+    ParallelSearchReport pr = strategy.Improve(alt, ctx, options);
     result.truncated = result.truncated || pr.truncated;
     if (ctx.tracer != nullptr) {
       ctx.tracer->AddArg(s, "tried", StrFormat("%zu", pr.tried));
@@ -733,12 +733,7 @@ TransformResult TransformPT(PTPtr plan, OptContext& ctx,
       ctx.tracer->AddArg(s, "final_cost", pr.final_cost);
       ctx.tracer->End(s);
     }
-    RandReport r;
-    r.tried = pr.tried;
-    r.accepted = pr.accepted;
-    r.initial_cost = pr.initial_cost;
-    r.final_cost = pr.final_cost;
-    return r;
+    return pr;
   };
   if (!force_truncate) {
     if (!options.always_push) report_a = improve(unpushed, "improve-unpushed");

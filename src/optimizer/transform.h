@@ -12,9 +12,6 @@ namespace rodin {
 
 /// Options controlling transformPT (paper §4.5).
 struct TransformOptions {
-  bool enable_push_sel = true;
-  bool enable_push_join = true;
-  bool enable_push_proj = true;
   /// Baselines: `always_push` mimics the deductive heuristic (irrevocable
   /// push, no comparison); `never_push` skips pushing entirely.
   bool always_push = false;
@@ -24,8 +21,6 @@ struct TransformOptions {
   size_t rand_moves = 300;      // move attempts per start
   size_t rand_local_stop = 30;  // consecutive rejects ending a start
   size_t rand_restarts = 2;
-  double sa_initial_temp = 0.1;  // fraction of plan cost
-  double sa_cooling = 0.9;
 };
 
 /// Result of transformPT with instrumentation.

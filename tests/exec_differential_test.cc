@@ -125,33 +125,5 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExecDifferentialSeedTest,
                            return "seed" + std::to_string(info.param);
                          });
 
-// --- Hash equi-join: identical rows, honestly different accounting ---------
-
-TEST(ExecDifferentialTest, HashEquiJoinSameRows) {
-  MusicConfig config;
-  config.num_composers = 60;
-  config.lineage_depth = 8;
-  GeneratedDb g = GenerateMusicDb(config, PaperMusicPhysical());
-  Stats stats = Stats::Derive(*g.db);
-  CostModel cost(g.db.get(), &stats);
-  Optimizer optimizer(g.db.get(), &stats, &cost, CostBasedOptions(42));
-  OptimizeResult plan = optimizer.Optimize(Fig3Query(*g.schema));
-  ASSERT_TRUE(plan.ok()) << plan.status.ToString();
-
-  const ExecFingerprint want =
-      EngineFingerprint(g.db.get(), *plan.plan, ExecOptions{});
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    ExecOptions hashed;
-    hashed.hash_equijoin = true;
-    hashed.exec_threads = threads;
-    const ExecFingerprint got =
-        EngineFingerprint(g.db.get(), *plan.plan, hashed);
-    // Same rows in the same order; accounting is allowed to differ (fewer
-    // predicate evaluations, no per-outer-row re-scan charges).
-    ASSERT_EQ(got.rows, want.rows) << "threads=" << threads;
-    EXPECT_LE(got.counters.predicate_evals, want.counters.predicate_evals);
-  }
-}
-
 }  // namespace
 }  // namespace rodin

@@ -241,6 +241,16 @@ TEST_F(FeedbackSessionTest, ValidateRejectsBadTuning) {
   bad2.feedback.ewma_alpha = 1.5;  // must be in [0, 1]
   EXPECT_EQ(session.Run(kFig3Text, bad2).status.code,
             Status::Code::kInvalidArgument);
+  // NaN compares false against every bound, so it needs its own refusal
+  // rather than silently falling back to the default.
+  QueryOptions nan_drift;
+  nan_drift.feedback.drift_threshold = std::nan("");
+  EXPECT_EQ(session.Run(kFig3Text, nan_drift).status.code,
+            Status::Code::kInvalidArgument);
+  QueryOptions nan_alpha;
+  nan_alpha.feedback.ewma_alpha = std::nan("");
+  EXPECT_EQ(session.Run(kFig3Text, nan_alpha).status.code,
+            Status::Code::kInvalidArgument);
 }
 
 TEST_F(FeedbackSessionTest, HarvestPopulatesSharedRegistry) {

@@ -18,14 +18,12 @@
 // materialized inner (a temp that the forced arm spills), over batch
 // {1, 7, 1024} x threads {1, 4} x {unlimited, forced spill}. Records are
 // wide and the buffer pool small, so the order of the charges decides the
-// misses. Two more arms: ledger budgets small enough that the inner memo
+// misses. One more arm: ledger budgets small enough that the inner memo
 // does not fit beside the inner's rows (each pair then captures its inner
-// slots itself), and the hash equijoin, which probes through the same pair
-// program.
+// slots itself).
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -286,53 +284,6 @@ TEST_F(NlJoinMemoTest, InnerMemoOverTheLedgerFallsBackPerPair) {
   if (obs::kObsEnabled) {
     EXPECT_GT(fallbacks_beside_rows, 0u);
   }
-}
-
-TEST_F(NlJoinMemoTest, HashEquiJoinMatchesTheNestedLoopRows) {
-  // With hash_equijoin the join probes only the inner rows whose key equals
-  // the outer row's, through the same pair program: fewer predicate
-  // evaluations and different (honest) charges, but the nested-loop rows in
-  // the nested-loop order. Its own accounting repeats exactly across batch
-  // sizes, threads and spilling (a spilled inner captures its slots from
-  // the rows read back).
-  size_t hashed = 0;
-  for (const JoinCase& c : Corpus()) {
-    for (bool materialized : {false, true}) {
-      const std::string label =
-          c.name + (materialized ? " (materialized inner)" : " (entity inner)");
-      const PTPtr plan = MakeEJ(MakeOuter(c.outer), MakeInner(materialized),
-                                c.pred, JoinAlgo::kNestedLoop);
-      const ExecFingerprint nl = ReferenceFingerprint(g_.db.get(), *plan);
-      std::optional<ExecFingerprint> first;
-      for (size_t batch : {size_t{1}, size_t{7}, size_t{1024}}) {
-        for (size_t threads : {size_t{1}, size_t{4}}) {
-          for (const QueryContext* query : {&unlimited_, &forced_}) {
-            SCOPED_TRACE(label + " batch_rows=" + std::to_string(batch) +
-                         " exec_threads=" + std::to_string(threads) +
-                         (query == &forced_ ? " forced-spill" : " unlimited"));
-            ExecOptions options;
-            options.batch_rows = batch;
-            options.exec_threads = threads;
-            options.query = query;
-            options.hash_equijoin = true;
-            const ExecFingerprint got =
-                EngineFingerprint(g_.db.get(), *plan, options);
-            ASSERT_EQ(got.rows, nl.rows);
-            if (!first.has_value()) {
-              first = got;
-            } else {
-              ExpectSameFingerprint(got, *first);
-            }
-            if (HasFailure()) return;
-          }
-        }
-      }
-      if (first->counters.predicate_evals < nl.counters.predicate_evals) {
-        ++hashed;
-      }
-    }
-  }
-  EXPECT_GE(hashed, 10u);  // the hash path ran, not the nested loop
 }
 
 TEST_F(NlJoinMemoTest, CorpusReachesMatchesAndMisses) {

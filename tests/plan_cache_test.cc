@@ -364,6 +364,37 @@ TEST_F(PlanCacheTest, PhysicalSchemaAblationSeparatesEntries) {
   EXPECT_EQ(rows_a, rows_b);
 }
 
+TEST_F(PlanCacheTest, SearchThreadsShareOneEntry) {
+  // The randomized search picks the identical plan at any thread count, so
+  // search_threads is not part of the fingerprint: a 4-thread run hits the
+  // entry a 1-thread run inserted, and serves the plan a 4-thread
+  // re-optimization would choose.
+  GeneratedDb g = MakeMusicDb();
+  Session session(g.db.get());
+  QueryOptions one;
+  one.cold = true;
+  one.search_threads = 1;
+  const QueryRun first = session.Run(kFig3Text, one);
+  ASSERT_TRUE(first.ok()) << first.error();
+  EXPECT_FALSE(first.plan_cached);
+
+  QueryOptions four = one;
+  four.search_threads = 4;
+  const QueryRun hit = session.Run(kFig3Text, four);
+  ASSERT_TRUE(hit.ok()) << hit.error();
+  EXPECT_TRUE(hit.plan_cached);
+  EXPECT_EQ(session.plan_cache().size(), 1u);
+
+  QueryOptions oracle_options = four;
+  oracle_options.bypass_plan_cache = true;
+  const QueryRun oracle = session.Run(kFig3Text, oracle_options);
+  ASSERT_TRUE(oracle.ok()) << oracle.error();
+  EXPECT_FALSE(oracle.plan_cached);
+  EXPECT_EQ(hit.plan_text, oracle.plan_text);
+  EXPECT_EQ(hit.optimized.cost, oracle.optimized.cost);
+  ASSERT_EQ(Keys(hit.answer), Keys(oracle.answer));
+}
+
 // --- Never-cache rules -----------------------------------------------------
 
 class PlanCacheFaultTest : public ::testing::Test {

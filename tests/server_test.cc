@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -531,6 +532,22 @@ TEST_F(ServerTest, ErrorTaxonomyTravelsTheWire) {
   EXPECT_EQ(unknown.status.code, Status::Code::kInvalidArgument);
 
   // The connection survives request-level errors.
+  const ClientResult ok = client.Query(kSimpleQuery);
+  EXPECT_TRUE(ok.ok()) << ok.status.ToString();
+}
+
+TEST_F(ServerTest, NanFeedbackDriftIsRejectedOverTheWire) {
+  StartServer(40, 2, 4);
+  Client client = Connected();
+  QueryOptions options;
+  options.feedback.enabled = true;
+  options.feedback.drift_threshold = std::nan("");
+  const ClientResult result = client.Query(kSimpleQuery, options);
+  EXPECT_EQ(result.status.code, Status::Code::kInvalidArgument)
+      << result.status.ToString();
+  EXPECT_EQ(std::string(result.status.code_name()), "invalid_argument");
+
+  // A request-level refusal: the connection keeps serving.
   const ClientResult ok = client.Query(kSimpleQuery);
   EXPECT_TRUE(ok.ok()) << ok.status.ToString();
 }

@@ -93,7 +93,8 @@ TEST_F(StrategyTest, IterativeImprovementNeverWorsens) {
   TransformOptions options;
   options.rand = RandStrategy::kIterativeImprovement;
   options.rand_moves = 120;
-  RandReport report = RandomizedImprove(plan, ctx_, options);
+  const ParallelSearchReport report =
+      ParallelStrategy(1).Improve(plan, ctx_, options);
   EXPECT_LE(report.final_cost, before + 1e-6);
   EXPECT_DOUBLE_EQ(report.initial_cost, before);
   // The improved plan still computes the right rows.
@@ -109,7 +110,8 @@ TEST_F(StrategyTest, AnnealingReturnsBestSeen) {
   TransformOptions options;
   options.rand = RandStrategy::kSimulatedAnnealing;
   options.rand_moves = 120;
-  RandReport report = RandomizedImprove(plan, ctx_, options);
+  const ParallelSearchReport report =
+      ParallelStrategy(1).Improve(plan, ctx_, options);
   // SA may accept uphill moves but must return the best plan seen.
   EXPECT_LE(report.final_cost, before + 1e-6);
 }
@@ -120,7 +122,8 @@ TEST_F(StrategyTest, NoneStrategyIsIdentity) {
   const std::string fp = plan->Fingerprint();
   TransformOptions options;
   options.rand = RandStrategy::kNone;
-  RandReport report = RandomizedImprove(plan, ctx_, options);
+  const ParallelSearchReport report =
+      ParallelStrategy(1).Improve(plan, ctx_, options);
   EXPECT_EQ(report.tried, 0u);
   EXPECT_EQ(plan->Fingerprint(), fp);
   EXPECT_DOUBLE_EQ(report.final_cost, before);
@@ -137,8 +140,8 @@ TEST_F(StrategyTest, DeterministicUnderSeed) {
   ctx1.rng = Rng(77);
   OptContext ctx2 = ctx_;
   ctx2.rng = Rng(77);
-  RandomizedImprove(p1, ctx1, options);
-  RandomizedImprove(p2, ctx2, options);
+  ParallelStrategy(1).Improve(p1, ctx1, options);
+  ParallelStrategy(1).Improve(p2, ctx2, options);
   EXPECT_EQ(p1->Fingerprint(), p2->Fingerprint());
 }
 
