@@ -63,7 +63,7 @@ struct PlanCacheStats {
 ///
 /// Correctness rules enforced by the caller (Session):
 ///   - entries are only inserted for complete optimizations (no
-///     StageReport::truncated anywhere, no fault injector active);
+///     StageReport::truncated anywhere);
 ///   - a lookup passes the session's current stats version; entries written
 ///     under an older version are invalidated (dropped), never served;
 ///   - cached plans still run under the caller's QueryContext — the cache

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/string_util.h"
+
 namespace rodin {
 
 Status QueryOptions::Validate() const {
@@ -16,6 +18,13 @@ Status QueryOptions::Validate() const {
         Status::Code::kInvalidArgument,
         "exec_threads must be >= 1 when set (omit it to inherit the "
         "executor default)");
+  }
+  if (search_threads.value_or(1) > kMaxQueryThreads ||
+      exec_threads.value_or(1) > kMaxQueryThreads) {
+    return Status::Error(
+        Status::Code::kInvalidArgument,
+        StrFormat("search_threads and exec_threads must be <= %zu",
+                  kMaxQueryThreads));
   }
   if (batch_rows.has_value() && *batch_rows == 0) {
     return Status::Error(

@@ -61,6 +61,12 @@ struct FeedbackOptions {
 /// Precedence for the optionals: engaged QueryOptions value > session
 /// OptimizerOptions value (search_threads, seed) or executor default
 /// (exec_threads, batch_rows). There is no third copy anywhere.
+///
+/// Thread counts above kMaxQueryThreads are kInvalidArgument too: the
+/// worker pools start their threads eagerly, and a wire QUERY frame is
+/// untrusted input.
+inline constexpr size_t kMaxQueryThreads = 256;
+
 struct QueryOptions {
   /// Start measurement from an empty buffer pool (cold run). Warm otherwise:
   /// counters reset but resident pages stay.
@@ -100,8 +106,9 @@ struct QueryOptions {
   /// still hits the cache.
   FeedbackOptions feedback;
 
-  /// Rejects engaged-zero thread/batch knobs (kInvalidArgument) per the
-  /// override rule above. Every session entry point calls this first.
+  /// Rejects engaged-zero thread/batch knobs and thread counts above
+  /// kMaxQueryThreads (kInvalidArgument) per the override rule above. Every
+  /// session entry point calls this first.
   Status Validate() const;
 
   /// Lowers the executor-relevant knobs onto the engine's ExecOptions.

@@ -1,12 +1,9 @@
 #include "api/session.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
-#include "common/faults.h"
 #include "common/string_util.h"
 #include "exec/vm/compiler.h"
 #include "plan/pt_printer.h"
@@ -151,12 +148,6 @@ Session::EffectiveFeedback Session::ResolveFeedback(
     const QueryOptions& options) {
   EffectiveFeedback out;
   out.on = options.feedback.enabled;
-  // Same rule as the plan cache: an enabled injector perturbs and retries
-  // attempts, so neither side of the loop may run — corrections applied
-  // mid-test would make a retried run's plan differ from the clean run it
-  // must be bit-identical to, and harvesting is blocked anyway. Full
-  // bypass, both apply and harvest.
-  if (FaultInjector::Global().enabled()) out.on = false;
   if (options.feedback.drift_threshold > 0) {
     out.drift_threshold = options.feedback.drift_threshold;
   }
@@ -170,11 +161,9 @@ void Session::HarvestFeedback(FeedbackRegistry& registry, PlanCache& cache,
                               const Executor& exec, uint64_t stats_version,
                               bool plan_cached, const std::string& cache_key,
                               obs::Tracer* tracer) {
-  // Only complete, clean runs teach the registry. Anything retried under
-  // the injector or truncated by an anytime budget contributes zero
-  // observations — a perturbed run's measurements describe the
-  // perturbation, not the data.
-  if (FaultInjector::Global().enabled()) return;
+  // Only complete runs teach the registry. A plan truncated by an anytime
+  // budget contributes zero observations: it is not the plan a full search
+  // would pick, so its measurements would correct the wrong estimates.
   for (const StageReport& s : optimized.stages) {
     if (s.truncated) return;
   }
@@ -281,12 +270,7 @@ bool Session::OptimizeThroughCache(const QueryGraph& graph,
                                    std::string* key_out,
                                    double* reoptimized_drift) {
   if (reoptimized_drift != nullptr) *reoptimized_drift = 0;
-  // The injector makes any attempt (optimizer or executor) abortable and
-  // retryable; a plan produced or reused under it could differ from the
-  // clean-run plan in unverifiable ways. Bypass entirely: no lookups, no
-  // inserts — under RODIN_FAULTS the hit rate is 0 by construction.
-  const bool use_cache =
-      !options.bypass_plan_cache && !FaultInjector::Global().enabled();
+  const bool use_cache = !options.bypass_plan_cache;
   // Budget-aware costing: an explicit per-query memory budget enters the
   // cost params (the spill penalty term) and with them the plan-cache
   // fingerprint, so budgeted and unbudgeted runs of one query never share
@@ -382,29 +366,6 @@ QueryRun Session::RunImpl(const QueryGraph& graph, const QueryOptions& options,
   TxnManager::ReadGuard read_gate(tm_);
   MaybeRefreshStats();
 
-  // The retry loop below snapshots and restores the buffer pool's resident
-  // set between attempts. A live streaming cursor defers its page charges
-  // to finalize time; interleaving that replay with a restore would corrupt
-  // the pool's accounting, so the retryable paths refuse to start until the
-  // session's outstanding cursors are drained (or destroyed).
-  // Shared-db (multi-tenant) sessions never consult the fault injector: the
-  // retry path's pool snapshot/restore cannot be made safe while concurrent
-  // sessions charge the same pool.
-  const bool faults_on = !shared_db_ && FaultInjector::Global().enabled();
-  if (faults_on && live_streams() > 0) {
-    const uint64_t live = live_streams();
-    run.status = Status::Error(
-        Status::Code::kInvalidArgument,
-        StrFormat("cannot Run/Explain with fault injection while %llu "
-                  "streaming cursor(s) from this session are still live; "
-                  "drain or destroy them first",
-                  static_cast<unsigned long long>(live)));
-    // Structured contract (docs/ROBUSTNESS.md): the refusal carries the
-    // live-cursor count, so pool managers branch on detail, not on text.
-    run.status.detail = live;
-    return run;
-  }
-
   // The run's armed lifecycle context: one copy of the caller's budget,
   // deadline clock started here, referenced by pointer from every stage.
   // The cancel token inside still shares the caller's flag.
@@ -418,9 +379,6 @@ QueryRun Session::RunImpl(const QueryGraph& graph, const QueryOptions& options,
 
   OptimizerOptions opt_options = EffectiveOptions(options);
   opt_options.query = &qctx;
-  // Run/Explain are the retryable, non-streaming paths: they are the only
-  // ones that consult the fault injector (never in shared-db mode).
-  opt_options.inject_faults = !shared_db_;
 
   const EffectiveFeedback fb = ResolveFeedback(options);
   FeedbackCorrections corrections;
@@ -453,45 +411,13 @@ QueryRun Session::RunImpl(const QueryGraph& graph, const QueryOptions& options,
     // touches ExecCounters, so counters stay bit-identical feedback-off.
     if (fb.on) e.CollectOpStats(true);
     if (options.collect_trace) e.set_tracer(&tracer);
-    ExecOptions exec_options = options.MakeExecOptions(&qctx);
-    exec_options.inject_faults = !shared_db_;
-
-    // Retry-with-backoff for transient (kFault) aborts. Only the execution
-    // phase re-runs — the optimizer already committed its plan and its
-    // metrics. Between attempts every piece of measurement state is
-    // restored (counters, fix cache, and for warm runs the resident set),
-    // so the surviving attempt's answer, counters and measured cost are
-    // bit-identical to a run that never faulted.
-    //
-    // Injection stops after kFaultedAttemptLimit faulted attempts (a
-    // circuit breaker): per-batch fault draws make a long query's per-
-    // attempt fault probability approach 1, so without the breaker no
-    // number of retries would converge. A clean attempt is unperturbed by
-    // the draws, so the breaker never changes a surviving run's results.
-    std::vector<PageId> resident;
-    if (faults_on && !options.cold) {
-      resident = db_->buffer_pool().SnapshotResident();
+    if (shared_db_) {
+      e.ResetMeasurementShared();
+    } else {
+      e.ResetMeasurement(options.cold);
     }
-    constexpr int kMaxAttempts = 16;
-    constexpr int kFaultedAttemptLimit = 8;
-    Status exec_status;
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      if (attempt > 0) {
-        e.ClearFixCache();
-        if (!options.cold) db_->buffer_pool().RestoreResident(resident);
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(1u << std::min(attempt, 10)));
-      }
-      exec_options.inject_faults = !shared_db_ && attempt < kFaultedAttemptLimit;
-      if (shared_db_) {
-        e.ResetMeasurementShared();
-      } else {
-        e.ResetMeasurement(options.cold);
-      }
-      exec_status =
-          e.ExecuteInto(*run.optimized.plan, exec_options, &run.answer);
-      if (!exec_status.retryable()) break;
-    }
+    const Status exec_status = e.ExecuteInto(
+        *run.optimized.plan, options.MakeExecOptions(&qctx), &run.answer);
     if (!exec_status.ok()) run.status = exec_status;
     run.measured_cost = e.MeasuredCost();
     run.counters = e.counters();
@@ -589,18 +515,15 @@ ResultCursor Session::QueryImpl(const QueryGraph& graph,
   } else {
     state->exec.ResetMeasurement(options.cold);
   }
-  // Streaming runs reference the state-owned context; fault injection stays
-  // off (a half-consumed stream cannot be transparently retried).
+  // Streaming runs reference the state-owned context.
   ResultCursor cursor = state->exec.ExecuteStream(
       *state->optimized.plan, options.MakeExecOptions(&state->qctx));
   cursor.set_plan_text(PrintPT(*state->optimized.plan));
   Database* db = db_;
   // The finalize hook fires exactly once per cursor (drained, failed or
-  // destroyed), so the live-stream count is balanced even for abandoned
-  // cursors. The shared counter keeps the hook safe past session teardown.
-  live_streams_->fetch_add(1);
+  // destroyed), so the TxnManager's cursor count is balanced even for
+  // abandoned cursors.
   tm_->BeginCursor();
-  std::shared_ptr<std::atomic<uint64_t>> live = live_streams_;
   TxnManager* tm = tm_;  // outlives the cursor (it lives with the database)
   // Feedback harvest context, resolved now: shared_ptrs keep the registry
   // and cache alive past session teardown (a cursor may outlive its
@@ -609,10 +532,9 @@ ResultCursor Session::QueryImpl(const QueryGraph& graph,
   std::shared_ptr<PlanCache> cache = plan_cache_;
   const uint64_t harvest_version = stats_version_;
   std::shared_ptr<QueryState> keep = state;
-  cursor.set_on_finish([db, live, tm, freg, cache, fb, harvest_version, cached,
+  cursor.set_on_finish([db, tm, freg, cache, fb, harvest_version, cached,
                         cache_key, keep](const Status& st, bool drained) {
     db->buffer_pool().PublishMetrics();
-    live->fetch_sub(1);
     tm->EndCursor();
     // Only a stream pulled to genuine exhaustion has complete measurements;
     // cancelled, aborted or abandoned cursors teach the registry nothing.

@@ -1,7 +1,6 @@
 #ifndef RODIN_API_SESSION_H_
 #define RODIN_API_SESSION_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -189,18 +188,9 @@ class PreparedQuery {
 /// and chosen plans stay deterministic under the seed for any thread count.
 ///
 /// Lifecycle: QueryOptions::query bounds a run by deadline, cancel token and
-/// memory budget (see QueryContext and docs/ROBUSTNESS.md). Run/Explain
-/// additionally retry transient injected faults (Status::retryable, i.e.
-/// kFault only) with a small exponential backoff, restoring measurement
-/// state between attempts so a retried run's answer and counters are
-/// bit-identical to a clean run; streaming Query() never injects faults.
-/// While a streaming cursor from this session is still live (not drained,
-/// not destroyed), Run/Explain refuse with kInvalidArgument if the fault
-/// injector is enabled: the retry path's buffer-pool snapshot/restore must
-/// not interleave with a cursor's deferred page accounting. The refusal's
-/// Status::detail carries the live-cursor count, so a pool manager (e.g.
-/// the server's session pool) can branch on it without parsing the message
-/// — the contract is documented in docs/ROBUSTNESS.md.
+/// memory budget (see QueryContext and docs/ROBUSTNESS.md). A tripped
+/// budget fails the run with its typed status; nothing is retried inside
+/// the session — retrying a retryable status is the caller's decision.
 ///
 /// Plan cache: repeat optimizations of the same (query, physical schema,
 /// cost params, optimizer knobs) fingerprint are served from `plan_cache`
@@ -208,9 +198,8 @@ class PreparedQuery {
 /// straight to execution (still under the caller's QueryContext). Pass a
 /// shared PlanCache to share across sessions; by default each session owns
 /// a private one. RefreshStats() invalidates this session's entries (stats
-/// version bump); truncated optimizations and any run while the fault
-/// injector is enabled are never cached. QueryOptions::bypass_plan_cache
-/// opts a single run out.
+/// version bump); truncated optimizations are never cached.
+/// QueryOptions::bypass_plan_cache opts a single run out.
 class Session {
  public:
   explicit Session(Database* db, OptimizerOptions options = {},
@@ -264,18 +253,12 @@ class Session {
   /// cache; a standalone Session owns a private one.
   FeedbackRegistry& feedback_registry() { return *feedback_; }
 
-  /// Streaming cursors from this session that have not yet finalized
-  /// (drained, failed or destroyed).
-  uint64_t live_streams() const { return live_streams_->load(); }
-
   /// Multi-tenant mode: declare that this session runs *concurrently* with
   /// other sessions over the same Database. Per-run measurement then leaves
   /// the shared buffer pool's statistics and resident set alone
-  /// (Executor::ResetMeasurementShared; `cold` is ignored), and the fault
-  /// injector is never consulted — its retry path's pool snapshot/restore
-  /// cannot be made safe under concurrent charging. The server's session
-  /// pool runs in this mode; single-tenant embedders keep the default
-  /// (false) and retain exact cold/warm measurement semantics.
+  /// (Executor::ResetMeasurementShared; `cold` is ignored). The server's
+  /// session pool runs in this mode; single-tenant embedders keep the
+  /// default (false) and retain exact cold/warm measurement semantics.
   void set_shared_db(bool on) { shared_db_ = on; }
   bool shared_db() const { return shared_db_; }
 
@@ -331,7 +314,7 @@ class Session {
 
   /// One run's resolved feedback configuration: QueryOptions::feedback with
   /// the inherit defaults (kDefaultDriftThreshold / kDefaultFeedbackAlpha)
-  /// applied, and off while the fault injector is enabled.
+  /// applied.
   struct EffectiveFeedback {
     bool on = false;
     double drift_threshold = kDefaultDriftThreshold;
@@ -343,10 +326,9 @@ class Session {
   /// measured cardinalities of `exec`'s op stats into `registry` and, for a
   /// plan served from the cache, erases `cache_key` when the measured cost
   /// drifted >= fb.drift_threshold from the estimate in either direction.
-  /// A run whose optimization was truncated, or one under an enabled fault
-  /// injector, contributes nothing. Static because a cursor's finish hook
-  /// calls it, possibly after the session is gone. With a `tracer` the
-  /// harvest records a `feedback.harvest` span.
+  /// A run whose optimization was truncated contributes nothing. Static
+  /// because a cursor's finish hook calls it, possibly after the session is
+  /// gone. With a `tracer` the harvest records a `feedback.harvest` span.
   static void HarvestFeedback(FeedbackRegistry& registry, PlanCache& cache,
                               const EffectiveFeedback& fb,
                               const OptimizeResult& optimized,
@@ -371,9 +353,8 @@ class Session {
   /// Optimizes `graph` through the plan cache: a hit fills `*out` from the
   /// cached entry (plan cloned, stage reports and decision log replayed)
   /// and returns true without running the optimizer; a miss runs the full
-  /// pipeline and, when the result is complete (ok, no stage truncated, no
-  /// fault injector), inserts it. `opt_options` must already carry the armed
-  /// query context.
+  /// pipeline and, when the result is complete (ok, no stage truncated),
+  /// inserts it. `opt_options` must already carry the armed query context.
   ///
   /// `corrections` (may be null / empty) is applied to the cost model on a
   /// miss — it is deliberately NOT part of the fingerprint, so correction
@@ -408,11 +389,6 @@ class Session {
   /// belong to. Plan-cache entries written under an older version are
   /// invalidated at lookup; MaybeRefreshStats re-derives on mismatch.
   uint64_t stats_version_ = 0;
-
-  /// Count of live streaming cursors; shared with each cursor's finalize
-  /// hook so it survives the session if a cursor outlives it.
-  std::shared_ptr<std::atomic<uint64_t>> live_streams_ =
-      std::make_shared<std::atomic<uint64_t>>(0);
 };
 
 }  // namespace rodin

@@ -19,7 +19,8 @@ namespace rodin {
 /// Exit codes: 0 ok; 1 is the generic shell failure and 2 is reserved for
 /// usage errors, so real codes start at 3. Wire codes are part of the
 /// server protocol (docs/SERVER.md) and must stay stable forever: append
-/// new codes, never renumber.
+/// new codes, never renumber. kFault (wire code 8) is no longer produced by
+/// the library; it keeps its slot so no later code can reuse the number.
 #define RODIN_STATUS_CODES(X)                           \
   X(kOk, "ok", 0, 0, false)                             \
   X(kParse, "parse", 3, 1, false)                       \
@@ -43,11 +44,10 @@ namespace rodin {
 /// The taxonomy distinguishes *why* a query stopped, not merely *where*:
 /// budget violations (kCancelled, kDeadlineExceeded, kResourceExhausted),
 /// admission-control shedding (kOverloaded — the server is healthy but
-/// full; retry after backoff), injected transient faults (kFault) and
-/// write-path contention (kConflict — another writer holds the single
-/// mutation slot, or a commit raced a live streaming cursor; retry after
-/// the other side finishes) are separate from genuine
-/// parse/semantic/optimize/exec failures, so callers — including
+/// full; retry after backoff) and write-path contention (kConflict —
+/// another writer holds the single mutation slot, or a commit raced a live
+/// streaming cursor; retry after the other side finishes) are separate from
+/// genuine parse/semantic/optimize/exec failures, so callers — including
 /// rodin_cli's exit codes and rodin_serve's error frames — can react per
 /// class.
 struct Status {
@@ -63,15 +63,17 @@ struct Status {
   size_t line = 0;
   size_t col = 0;
   /// Machine-readable payload for statuses whose *cause* has a magnitude:
-  /// the live-streaming-cursor count on Session's retryable-path refusal
-  /// (docs/ROBUSTNESS.md), the in-flight query count on a kOverloaded shed.
-  /// 0 when the code carries no payload. Travels in the wire STATUS frame.
+  /// the in-flight query count on a kOverloaded shed, the holder's txn id or
+  /// the live-cursor count on a kConflict, the packed operator and page
+  /// counts on a kResourceExhausted (PackResourceDetail), the new stats
+  /// version on a COMMIT reply. 0 when the code carries no payload. Travels
+  /// in the wire STATUS frame.
   uint64_t detail = 0;
 
   bool ok() const { return code == Code::kOk; }
 
-  /// Transient outcomes where retrying the same work can succeed: an
-  /// injected fault (kFault), an admission-control shed (kOverloaded —
+  /// Transient outcomes where retrying the same work can succeed: a
+  /// (legacy) kFault, an admission-control shed (kOverloaded —
   /// back off first; the server refused the work without starting it), or
   /// a write-path conflict (kConflict — the single-writer slot or a live
   /// cursor blocked the mutation; retry once it drains). Distinct from

@@ -71,10 +71,8 @@ struct ExecCtx {
   /// Delta tables of in-flight fixpoints, by view name.
   std::map<std::string, DeltaSource> deltas;
 
-  /// Lifecycle budget / fault wiring (coordinator thread only; workers
-  /// never consult either).
+  /// Lifecycle budget (coordinator thread only; workers never consult it).
   const QueryContext* query = nullptr;
-  bool inject_faults = false;
 
   /// Spill policy (see BatchEngine::Config): over-budget temp working sets
   /// move their row bytes to disk instead of aborting. The ledger tracks
@@ -90,23 +88,17 @@ struct ExecCtx {
   size_t Quantum() const { return batch_rows * std::max<size_t>(1, threads); }
 
   /// Coordinator-thread budget poll; throws internal::ExecAbort on a
-  /// cancel / deadline trip, an injected page-fetch fault, or a forced
-  /// deadline at semi-naive iteration `fix_iter` (0 = not at an iteration
-  /// boundary). Called at batch boundaries (BatchEngine::Next, morsel
-  /// fan-out) and per fixpoint iteration.
+  /// cancel / deadline trip or a forced deadline at semi-naive iteration
+  /// `fix_iter` (0 = not at an iteration boundary). Called at batch
+  /// boundaries (BatchEngine::Next, morsel fan-out) and per fixpoint
+  /// iteration.
   void CheckAbort(int fix_iter) {
-    if (inject_faults) {
-      FaultInjector& fi = FaultInjector::Global();
-      if (fix_iter > 0 && fi.ForceDeadlineAtFixIter(fix_iter)) {
-        throw internal::ExecAbort(Status::Error(
-            Status::Code::kDeadlineExceeded,
-            StrFormat("deadline exceeded (forced at fix iteration %d)",
-                      fix_iter)));
-      }
-      if (fi.InjectPageFetchFault()) {
-        throw internal::ExecAbort(Status::Error(
-            Status::Code::kFault, "injected page-fetch failure"));
-      }
+    if (fix_iter > 0 &&
+        FaultInjector::Global().ForceDeadlineAtFixIter(fix_iter)) {
+      throw internal::ExecAbort(Status::Error(
+          Status::Code::kDeadlineExceeded,
+          StrFormat("deadline exceeded (forced at fix iteration %d)",
+                    fix_iter)));
     }
     if (query != nullptr) {
       if (Status s = query->Check(); !s.ok()) {
@@ -115,9 +107,9 @@ struct ExecCtx {
     }
   }
 
-  /// AllocateTempFile with the cumulative temp-page ledger and alloc-fault
-  /// checks. The page-id allocation is identical whether or not the temp
-  /// spills, so ChargeTempScan sequences — and with them MeasuredCost — are
+  /// AllocateTempFile with the cumulative temp-page ledger check. The
+  /// page-id allocation is identical whether or not the temp spills, so
+  /// ChargeTempScan sequences — and with them MeasuredCost — are
   /// bit-identical spill-on vs all-in-memory. Over the remaining budget:
   /// spill (sets *spilled; caller moves the row bytes to disk and skips the
   /// ledger charge) or throw a typed kResourceExhausted with the tripping
@@ -126,10 +118,6 @@ struct ExecCtx {
   TempFile AllocTemp(size_t rows, size_t ncols, SpillOpTag tag,
                      bool* spilled = nullptr) {
     if (spilled != nullptr) *spilled = false;
-    if (inject_faults && FaultInjector::Global().InjectAllocFault()) {
-      throw internal::ExecAbort(Status::Error(
-          Status::Code::kFault, "injected allocation failure"));
-    }
     TempFile temp = AllocateTempFile(db, rows, ncols);
     if (ledger_budget == 0) return temp;
     const uint64_t row_pages = TempRowPages(ncols);
@@ -1419,7 +1407,7 @@ struct BatchEngine::Impl {
   bool finalized = false;
   bool exhausted = false;
   uint64_t rows_emitted = 0;
-  Status status;  // non-OK after a budget / fault abort
+  Status status;  // non-OK after a budget abort
 };
 
 BatchEngine::BatchEngine(const Config& config, const PTNode& plan)
@@ -1435,8 +1423,6 @@ BatchEngine::BatchEngine(const Config& config, const PTNode& plan)
   ctx.pool = config.pool;
   ctx.fix_cache = config.fix_cache;
   ctx.query = config.query;
-  ctx.inject_faults =
-      config.inject_faults && FaultInjector::Global().enabled();
   ctx.spill_enabled = config.spill_enabled;
   ctx.ledger_budget = config.spill_budget_pages;
   impl_->root = BuildOp(&ctx, &plan);
@@ -1500,8 +1486,8 @@ void BatchEngine::Finalize() {
       ctx.query != nullptr ? ctx.query->memory_budget_pages : 0;
   {
     // Declares the replay to the pool so a concurrent resident-set
-    // snapshot/restore (Session's fault-retry path) trips the debug guard
-    // instead of silently corrupting the accounting.
+    // snapshot/restore (TxnManager's commit) trips the debug guard instead
+    // of silently corrupting the accounting.
     BufferPool::ActiveFetchScope fetch_scope(&ctx.db->buffer_pool());
     if (budget > 0) ctx.db->buffer_pool().SetQueryBudget(budget);
     impl_->root->Replay(&ctx.db->buffer_pool());

@@ -49,9 +49,6 @@ class BatchEngine {
     /// coordinator thread at batch and fixpoint-iteration boundaries, so a
     /// streaming cursor can be cancelled mid-read from another thread.
     const QueryContext* query = nullptr;
-    /// Consult the process FaultInjector during this evaluation (Session's
-    /// non-streaming paths only).
-    bool inject_faults = false;
     /// Over-budget temp working sets spill to disk instead of tripping
     /// kResourceExhausted. Spilling moves row *bytes* only: the page-charge
     /// logs, ExecCounters, OpStats and MeasuredCost stay bit-identical to an
@@ -74,14 +71,14 @@ class BatchEngine {
 
   /// Fills `out` with the next batch (up to batch_rows rows). Returns false
   /// when the plan is exhausted; never returns an empty batch otherwise.
-  /// Also returns false when the budget trips or a fault is injected —
-  /// check status() to tell exhaustion from abort. After an abort the
+  /// Also returns false when the budget trips — check status() to tell
+  /// exhaustion from abort. After an abort the
   /// engine stays safe to Finalize (partial charges replay exactly).
   bool Next(RowBatch* out);
 
   /// OK while streaming normally; the abort reason (kCancelled,
-  /// kDeadlineExceeded, kResourceExhausted, kFault) after Next returned
-  /// false because the budget tripped.
+  /// kDeadlineExceeded, kResourceExhausted) after Next returned false
+  /// because the budget tripped.
   const Status& status() const;
 
   /// Replays every recorded page charge into the buffer pool in canonical

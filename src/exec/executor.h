@@ -47,9 +47,16 @@ struct OpStats {
   double micros = 0;    // coordinator wall time spent in the operator
 };
 
+/// Parses a RODIN_SPILL_BUDGET value into *pages. Null or empty is 0
+/// (unlimited). Anything but a complete unsigned decimal integer that fits a
+/// size_t ("-1", "abc", "8x", " 8") is kInvalidArgument naming the value,
+/// and *pages is left untouched.
+Status ParseSpillBudgetEnv(const char* value, size_t* pages);
+
 /// Process-wide default for the temp-page ledger budget when the query sets
 /// neither spill_budget_pages nor memory_budget_pages: the RODIN_SPILL_BUDGET
-/// environment variable (pages; read once; 0 / unset = unlimited). CI's
+/// environment variable (pages; read once; 0 / unset = unlimited). A value
+/// ParseSpillBudgetEnv refuses stops the process with its message. CI's
 /// spill job forces a tiny value here to exercise the spill paths in every
 /// test without touching the buffer pool's accounting.
 size_t SpillBudgetEnvDefault();
@@ -144,11 +151,6 @@ struct ExecOptions {
   /// semi-naive iteration. Tripping it aborts the evaluation with the
   /// corresponding status; partial page charges stay exact.
   const QueryContext* query = nullptr;
-  /// Consult the process FaultInjector (RODIN_FAULTS) during this run. Only
-  /// Session's non-streaming paths set this, so raw Executor callers —
-  /// tests, benches — and streaming cursors are never perturbed by an
-  /// enabled injector.
-  bool inject_faults = false;
 };
 
 /// A temporary file: a run of simulated pages sized for `rows` rows of
@@ -199,14 +201,14 @@ class Executor {
   ~Executor();
 
   /// Evaluates `plan` and returns its result. Counters accumulate across
-  /// calls until ResetMeasurement(). Any budget/fault abort yields an empty
-  /// table (use ExecuteInto to observe the status).
+  /// calls until ResetMeasurement(). Any budget abort yields an empty table
+  /// (use ExecuteInto to observe the status).
   Table Execute(const PTNode& plan);
   Table Execute(const PTNode& plan, const ExecOptions& options);
 
   /// Evaluates `plan` into `*out`, reporting budget violations (kCancelled,
-  /// kDeadlineExceeded, kResourceExhausted) and injected faults (kFault) as
-  /// a status instead of swallowing them. On a non-OK status `*out` is
+  /// kDeadlineExceeded, kResourceExhausted) as a status instead of
+  /// swallowing them. On a non-OK status `*out` is
   /// empty but the counters and page charges of the work actually performed
   /// remain — accounting stays exact for partial runs.
   Status ExecuteInto(const PTNode& plan, const ExecOptions& options,
@@ -235,11 +237,6 @@ class Executor {
   /// other queries (shared-pool attribution is approximate by design —
   /// see docs/SERVER.md).
   void ResetMeasurementShared();
-
-  /// Drops memoized fixpoint results. Session's fault-retry path calls this
-  /// between attempts so a retried run re-derives (and re-charges) exactly
-  /// what a clean run would.
-  void ClearFixCache() { fix_cache_.clear(); }
 
   /// Enables the per-operator profile (a map lookup + clock read per node
   /// evaluation; off by default).
@@ -297,8 +294,8 @@ class Executor {
   /// by several predicate nodes is instantiated (cloned) into each
   /// consumer's plan; the data is immutable, so the second occurrence costs
   /// one temp scan instead of a recomputation. Fixpoints that reference an
-  /// enclosing fixpoint's delta are not cacheable. Kept across runs until
-  /// ClearFixCache().
+  /// enclosing fixpoint's delta are not cacheable. Kept for the executor's
+  /// lifetime.
   std::map<std::string, FixCacheEntry> fix_cache_;
 };
 

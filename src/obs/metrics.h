@@ -52,56 +52,6 @@ class Counter {
   std::array<Shard, kMetricShards> shards_;
 };
 
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  explicit Gauge(std::string name) : name_(std::move(name)) {}
-
-  void Set(double v) {
-    if constexpr (!kObsEnabled) return;
-    value_.store(v, std::memory_order_relaxed);
-  }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  const std::string& name() const { return name_; }
-
- private:
-  std::string name_;
-  std::atomic<double> value_{0};
-};
-
-/// Log2-bucketed histogram: bucket i counts observations in [2^i, 2^(i+1))
-/// (bucket 0 also takes everything below 1). Observe() is atomic per field;
-/// histograms record per-stage / per-query quantities, not per-tuple ones,
-/// so plain atomics suffice.
-class Histogram {
- public:
-  static constexpr size_t kBuckets = 40;
-
-  explicit Histogram(std::string name) : name_(std::move(name)) {}
-
-  void Observe(double v);
-
-  struct Snapshot {
-    uint64_t count = 0;
-    double sum = 0;
-    double min = 0;
-    double max = 0;
-    std::array<uint64_t, kBuckets> buckets{};
-    double mean() const { return count == 0 ? 0 : sum / count; }
-  };
-  Snapshot snapshot() const;
-
-  const std::string& name() const { return name_; }
-
- private:
-  std::string name_;
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0};
-  std::atomic<double> min_{0};
-  std::atomic<double> max_{0};
-  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
-};
-
 /// Process-wide registry of named metrics. Get* registers on first use and
 /// returns a stable pointer — callers cache it (typically in a function-local
 /// static) and pay only the shard increment afterwards.
@@ -113,16 +63,12 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
   Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
-  Histogram* GetHistogram(const std::string& name);
 
   struct Sample {
     std::string name;
-    std::string kind;  // "counter" | "gauge" | "histogram"
-    double value = 0;  // counter/gauge value; histogram mean
-    uint64_t count = 0;  // histogram observation count
+    uint64_t value = 0;
   };
-  /// Point-in-time values of every registered metric, sorted by name.
+  /// Point-in-time values of every registered counter, sorted by name.
   std::vector<Sample> Samples() const;
 
   /// Human-readable dump (one metric per line, sorted by name).
@@ -133,8 +79,6 @@ class MetricsRegistry {
 
   mutable std::mutex mu_;  // guards registration, not the hot increments
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace rodin::obs

@@ -24,11 +24,10 @@ double MicrosSince(std::chrono::steady_clock::time_point start) {
 /// The budget poll at a stage boundary. Stages 1-3 are all-or-nothing, so a
 /// tripped budget before stage `n` aborts the whole optimization; only
 /// transformPT (stage 4) degrades to an anytime result instead. A forced
-/// deadline from the fault injector ("stage=N") is reported identically to a
-/// real one.
+/// deadline (FaultConfig::force_deadline_stage, a test seam) is reported
+/// identically to a real one.
 Status CheckStageBudget(const OptimizerOptions& options, int stage) {
-  if (options.inject_faults &&
-      FaultInjector::Global().ForceDeadlineAtStage(stage)) {
+  if (FaultInjector::Global().ForceDeadlineAtStage(stage)) {
     return Status::Error(Status::Code::kDeadlineExceeded,
                          StrFormat("deadline exceeded (forced at stage %d)",
                                    stage));

@@ -52,9 +52,6 @@ struct OptimizerOptions {
   /// kDeadlineExceeded / kCancelled when tripped; transformPT instead
   /// truncates and keeps its best-so-far plan (anytime).
   const QueryContext* query = nullptr;
-  /// Consult the process FaultInjector for forced stage deadlines. Only
-  /// Session's non-streaming paths turn this on.
-  bool inject_faults = false;
 };
 
 /// Result of optimizing one query graph.

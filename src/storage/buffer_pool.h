@@ -200,16 +200,17 @@ class BufferPool final : public PageCharger {
   void ClearQueryBudget();
   size_t query_budget() const { return budget_; }
 
-  /// The resident set, most recently used first. Session's fault-retry
-  /// path snapshots before the first attempt and restores before each
-  /// retry so warm-run hit/miss patterns are attempt-invariant.
+  /// The resident set, most recently used first. TxnManager's commit
+  /// snapshots before applying a batch and restores afterwards, so a
+  /// commit's validation and view-maintenance reads leave warm-run hit/miss
+  /// patterns untouched.
   ///
   /// Must not run while any ActiveFetchScope is open: a restore that
   /// interleaves with another thread's fetches (e.g. a streaming cursor's
   /// deferred charge replay) silently corrupts the accounting even though
   /// the spinlock keeps each individual operation safe. Debug builds abort
-  /// via RODIN_CHECK; Session enforces the rule at the API level by
-  /// refusing retryable runs while cursors are live.
+  /// via RODIN_CHECK; TxnManager enforces the rule at the API level, since
+  /// a commit drains readers and refuses while streaming cursors are live.
   std::vector<PageId> SnapshotResident() const;
 
   /// Replaces the resident set (counters untouched). `mru_first` must be

@@ -16,10 +16,9 @@ namespace rodin {
 ///
 /// Backed by tmpfile(): the file has no name, lives in the system temp
 /// directory and is reclaimed by the OS the moment the SpillFile is
-/// destroyed — or the process dies. That makes spills snapshot/restore-safe
-/// for the fault-retry loop by construction: an aborted attempt unwinds its
-/// operator tree, every SpillFile goes with it, and the retry starts from a
-/// clean slate with nothing to roll back.
+/// destroyed — or the process dies. An aborted run (cancel, deadline)
+/// therefore needs no cleanup: it unwinds its operator tree and every
+/// SpillFile goes with it.
 ///
 /// Write phase (single-threaded, coordinator only): AppendRow() serializes
 /// rows into a buffered byte stream; Finish() flushes and freezes the file.

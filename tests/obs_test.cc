@@ -1,5 +1,5 @@
-// Observability primitives: sharded counters under concurrency, histograms,
-// the registry, span tracer structure and exports, and the Status type.
+// Observability primitives: sharded counters under concurrency, the
+// registry, span tracer structure and exports, and the Status type.
 
 #include <gtest/gtest.h>
 
@@ -63,49 +63,19 @@ TEST(MetricsTest, CounterAddsAcrossThreads) {
   }
 }
 
-TEST(MetricsTest, GaugeLastWriteWins) {
-  obs::Gauge g("test.gauge");
-  g.Set(2.5);
-  g.Set(7.0);
-  if (obs::kObsEnabled) {
-    EXPECT_DOUBLE_EQ(g.value(), 7.0);
-  }
-}
-
-TEST(MetricsTest, HistogramBucketsAndMoments) {
-  if (!obs::kObsEnabled) GTEST_SKIP() << "observability compiled out";
-  obs::Histogram h("test.histogram");
-  h.Observe(0.5);   // bucket 0
-  h.Observe(1.0);   // bucket 0: [1, 2)
-  h.Observe(3.0);   // bucket 1: [2, 4)
-  h.Observe(100.0);  // bucket 6: [64, 128)
-  const obs::Histogram::Snapshot s = h.snapshot();
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_DOUBLE_EQ(s.sum, 104.5);
-  EXPECT_DOUBLE_EQ(s.min, 0.5);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 104.5 / 4);
-  EXPECT_EQ(s.buckets[0], 2u);
-  EXPECT_EQ(s.buckets[1], 1u);
-  EXPECT_EQ(s.buckets[6], 1u);
-}
-
 TEST(MetricsTest, RegistryReturnsStablePointersAndSamples) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   obs::Counter* a = reg.GetCounter("rodin.test.registry_counter");
   obs::Counter* b = reg.GetCounter("rodin.test.registry_counter");
   EXPECT_EQ(a, b);
   a->Add(3);
-  obs::Gauge* g = reg.GetGauge("rodin.test.registry_gauge");
-  g->Set(1.5);
 
   bool found_counter = false;
   for (const obs::MetricsRegistry::Sample& s : reg.Samples()) {
     if (s.name == "rodin.test.registry_counter") {
       found_counter = true;
-      EXPECT_EQ(s.kind, "counter");
       if (obs::kObsEnabled) {
-        EXPECT_GE(s.value, 3.0);
+        EXPECT_GE(s.value, 3u);
       }
     }
   }

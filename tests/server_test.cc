@@ -129,6 +129,29 @@ TEST(WireCodecTest, RetiredCompiledEvalFlagBitsAreIgnored) {
   EXPECT_TRUE(wire.ToQueryOptions().bypass_plan_cache);
 }
 
+TEST(WireCodecTest, ForgedThreadCountFailsValidation) {
+  // A QUERY frame is untrusted: a forged exec_threads decodes fine but is
+  // refused by Validate() before any worker pool could be sized from it.
+  // Checked through Decode -> ToQueryOptions -> Validate only; running the
+  // request would start that many threads on code without the cap.
+  for (const uint32_t threads : {uint32_t{kMaxQueryThreads + 1},
+                                 uint32_t{0xFFFFFFFF}}) {
+    WireQueryOptions forged;
+    forged.exec_threads = threads;
+    PayloadWriter w;
+    forged.Encode(&w);
+    const std::string payload = w.data();
+    PayloadReader r(payload.data(), payload.size());
+    WireQueryOptions wire;
+    ASSERT_TRUE(wire.Decode(&r));
+    const QueryOptions decoded = wire.ToQueryOptions();
+    ASSERT_TRUE(decoded.exec_threads.has_value());
+    EXPECT_EQ(*decoded.exec_threads, threads);
+    EXPECT_EQ(decoded.Validate().code, Status::Code::kInvalidArgument)
+        << threads;
+  }
+}
+
 TEST(WireCodecTest, QueryOptionsRoundTripPreservesInheritRule) {
   QueryOptions original;
   original.query.deadline_ms = 250;
@@ -512,12 +535,8 @@ TEST_F(ServerTest, PrepareExecuteHitsSharedPlanCache) {
   EXPECT_EQ(first.rows[0][0].Compare(second.rows[0][0]), 0);
 
   // The server's sessions share the engine's plan cache, so the repeat
-  // execution is a cache hit — unless it is bypassed because the fault
-  // injector is live (RODIN_FAULTS). Pinning the injector off here would
-  // race the server's worker threads, which read it.
-  if (!FaultInjector::Global().enabled()) {
-    EXPECT_GE(engine_->plan_cache()->stats().hits, 1u);
-  }
+  // execution is a cache hit.
+  EXPECT_GE(engine_->plan_cache()->stats().hits, 1u);
 }
 
 TEST_F(ServerTest, ErrorTaxonomyTravelsTheWire) {
@@ -564,6 +583,24 @@ TEST_F(ServerTest, DeadlineTravelsTheWire) {
     EXPECT_EQ(result.status.code, Status::Code::kDeadlineExceeded)
         << result.status.ToString();
   }
+}
+
+TEST_F(ServerTest, ForcedDeadlineTravelsTheWire) {
+  // The deterministic twin of DeadlineTravelsTheWire: the forced-deadline
+  // seam reaches the server's shared-db sessions, so the typed code comes
+  // back every time.
+  StartServer(40, 2, 4);
+  Client client = Connected();
+  FaultConfig fc;
+  fc.force_deadline_stage = 2;
+  FaultInjector::Global().Configure(fc);
+  const ClientResult forced = client.Query(kRecursiveQuery);
+  FaultInjector::Global().Configure(FaultConfig{});
+  EXPECT_EQ(forced.status.code, Status::Code::kDeadlineExceeded)
+      << forced.status.ToString();
+
+  const ClientResult ok = client.Query(kRecursiveQuery);
+  EXPECT_TRUE(ok.ok()) << ok.status.ToString();
 }
 
 TEST_F(ServerTest, ShedUnderLoadReturnsTypedOverloaded) {

@@ -11,7 +11,6 @@
 
 #include "api/plan_cache.h"
 #include "api/session.h"
-#include "common/faults.h"
 #include "cost/fig7.h"
 #include "datagen/music_gen.h"
 #include "optimizer/baseline.h"
@@ -139,6 +138,24 @@ TEST_F(SessionTest, Fig7WalkerProducesPaperShapes) {
             std::string::npos);
 }
 
+TEST(QueryOptionsTest, ThreadCountsAboveTheCapAreInvalidArguments) {
+  // Validate() only: a run with these counts would start that many threads
+  // on the code before the cap existed.
+  QueryOptions at_cap;
+  at_cap.exec_threads = kMaxQueryThreads;
+  at_cap.search_threads = kMaxQueryThreads;
+  EXPECT_TRUE(at_cap.Validate().ok());
+  for (const size_t n :
+       {kMaxQueryThreads + 1, size_t{0xFFFFFFFF}, SIZE_MAX}) {
+    QueryOptions exec;
+    exec.exec_threads = n;
+    EXPECT_EQ(exec.Validate().code, Status::Code::kInvalidArgument) << n;
+    QueryOptions search;
+    search.search_threads = n;
+    EXPECT_EQ(search.Validate().code, Status::Code::kInvalidArgument) << n;
+  }
+}
+
 TEST_F(SessionTest, ExplicitZeroKnobsAreInvalidArguments) {
   Session session(g_.db.get());
   const char* kQuery = R"(select [n: x.name] from x in Composer)";
@@ -259,21 +276,15 @@ TEST_F(SessionTest, ConcurrentSessionsShareOnePlanCache) {
 
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(mismatches.load(), 0u);
-  // Hit-rate accounting only holds when caching is actually live: under
-  // RODIN_FAULTS the cache is bypassed entirely (no lookups, no inserts).
-  // The injector is deliberately not pinned off here: under it the same
-  // threads must still agree with the solo oracle through faulted retries.
-  if (!FaultInjector::Global().enabled()) {
-    const PlanCacheStats stats = cache->stats();
-    const uint64_t total = kThreads * kRunsPerThread * queries.size();
-    // Each query is optimized at least once; everything else must hit.
-    // Concurrent first runs may race to a miss each, so the bound is
-    // per-thread, not per-query.
-    EXPECT_GE(stats.hits + stats.misses, total);
-    EXPECT_LE(stats.misses, kThreads * queries.size());
-    EXPECT_GE(stats.hits, total - kThreads * queries.size());
-    EXPECT_EQ(stats.evictions, 0u);
-  }
+  const PlanCacheStats stats = cache->stats();
+  const uint64_t total = kThreads * kRunsPerThread * queries.size();
+  // Each query is optimized at least once; everything else must hit.
+  // Concurrent first runs may race to a miss each, so the bound is
+  // per-thread, not per-query.
+  EXPECT_GE(stats.hits + stats.misses, total);
+  EXPECT_LE(stats.misses, kThreads * queries.size());
+  EXPECT_GE(stats.hits, total - kThreads * queries.size());
+  EXPECT_EQ(stats.evictions, 0u);
 }
 
 }  // namespace

@@ -11,8 +11,9 @@
 // Also covered here: the cumulative live-temp-page ledger (two allocations
 // that each fit the budget individually must still trip / spill together),
 // the machine-readable kResourceExhausted detail when spilling is off, the
-// single-oversized-row refusal, spilled fix-cache hits, and lifecycle
-// (cancel / forced deadline / fault-retry) interactions mid-spill.
+// single-oversized-row refusal, spilled fix-cache hits, lifecycle (cancel /
+// forced deadline) interactions mid-spill, and the RODIN_SPILL_BUDGET
+// grammar.
 //
 // Queries cover the paper's Figure 3 recursion plus randomized SPJ,
 // recursive and graph-closure queries (the exec_differential_test
@@ -429,10 +430,7 @@ TEST(SpillLedgerTest, SpilledFixCacheHitServesIdenticalRows) {
 
 class SpillLifecycleTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    FaultInjector::Global().Configure(FaultConfig{});  // disabled
-    g_ = MakeLedgerDb();
-  }
+  void SetUp() override { g_ = MakeLedgerDb(); }
   void TearDown() override { FaultInjector::Global().Configure(FaultConfig{}); }
   GeneratedDb g_;
 };
@@ -454,11 +452,9 @@ TEST_F(SpillLifecycleTest, ForcedDeadlineMidFixpointUnderForcedSpill) {
   // The forced deadline fires inside the semi-naive loop, after earlier
   // iterations have already written spill files: the abort must unwind
   // them cleanly (tmpfile-backed spill files self-delete) and surface the
-  // deadline, not a spill artifact.
+  // deadline, not a spill artifact. The partial accounting is exact: the
+  // same abort with an unlimited ledger charged the same work.
   FaultConfig fc;
-  fc.enabled = true;
-  fc.page_fetch_fail = 0;
-  fc.alloc_fail = 0;
   fc.force_deadline_fix_iter = 2;
   FaultInjector::Global().Configure(fc);
 
@@ -471,40 +467,50 @@ TEST_F(SpillLifecycleTest, ForcedDeadlineMidFixpointUnderForcedSpill) {
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status.code, Status::Code::kDeadlineExceeded)
       << run.status.ToString();
-  EXPECT_GE(run.counters.fix_iterations, 1u);
+  EXPECT_EQ(run.counters.fix_iterations, 1u);
   EXPECT_TRUE(run.answer.rows.empty());
+
+  QueryOptions unlimited;
+  unlimited.cold = true;
+  unlimited.query.spill_budget_pages = kUnlimitedPages;
+  const QueryRun in_memory = session.Run(kFig3Text, unlimited);
+  EXPECT_EQ(in_memory.status.code, Status::Code::kDeadlineExceeded)
+      << in_memory.status.ToString();
+  EXPECT_EQ(run.counters.predicate_evals, in_memory.counters.predicate_evals);
+  EXPECT_EQ(run.counters.method_calls, in_memory.counters.method_calls);
+  EXPECT_EQ(run.counters.rows_produced, in_memory.counters.rows_produced);
+  EXPECT_EQ(run.counters.fix_iterations, in_memory.counters.fix_iterations);
+  EXPECT_EQ(run.measured_cost, in_memory.measured_cost);
 }
 
-TEST_F(SpillLifecycleTest, FaultRetryUnderForcedSpillIsBitIdentical) {
-  // A transient page-fetch fault aborts an attempt that had already spilled;
-  // the retry must discard the partial spill state and finish bit-identical
-  // to a clean unlimited run.
-  Session session(g_.db.get());
-  QueryOptions clean_options;
-  clean_options.cold = true;
-  clean_options.query.spill_budget_pages = kUnlimitedPages;
-  const QueryRun clean = session.Run(kFig3Text, clean_options);
-  ASSERT_TRUE(clean.ok()) << clean.error();
+// --- RODIN_SPILL_BUDGET ------------------------------------------------------
 
-  FaultConfig fc;
-  fc.enabled = true;
-  fc.page_fetch_fail = 1.0;
-  fc.alloc_fail = 0;
-  fc.max_faults = 1;
-  FaultInjector::Global().Configure(fc);
+TEST(SpillBudgetEnvTest, OnlyCompleteUnsignedIntegersParse) {
+  size_t pages = 99;
+  ASSERT_TRUE(ParseSpillBudgetEnv(nullptr, &pages).ok());
+  EXPECT_EQ(pages, 0u);
+  pages = 99;
+  ASSERT_TRUE(ParseSpillBudgetEnv("", &pages).ok());
+  EXPECT_EQ(pages, 0u);
+  ASSERT_TRUE(ParseSpillBudgetEnv("0", &pages).ok());
+  EXPECT_EQ(pages, 0u);
+  ASSERT_TRUE(ParseSpillBudgetEnv("1", &pages).ok());
+  EXPECT_EQ(pages, 1u);
+  ASSERT_TRUE(ParseSpillBudgetEnv("4096", &pages).ok());
+  EXPECT_EQ(pages, 4096u);
 
-  QueryOptions forced;
-  forced.cold = true;
-  forced.query.spill = true;
-  forced.query.spill_budget_pages = 1;
-  const QueryRun retried = session.Run(kFig3Text, forced);
-  ASSERT_TRUE(retried.ok()) << retried.status.ToString();
-  EXPECT_EQ(FaultInjector::Global().faults_injected(), 1u);
-  EXPECT_EQ(Keys(retried.answer), Keys(clean.answer));
-  EXPECT_EQ(retried.counters.predicate_evals, clean.counters.predicate_evals);
-  EXPECT_EQ(retried.counters.rows_produced, clean.counters.rows_produced);
-  EXPECT_EQ(retried.counters.fix_iterations, clean.counters.fix_iterations);
-  EXPECT_EQ(retried.measured_cost, clean.measured_cost);
+  // strtoull alone read "-1" as 2^64-1 pages, "abc" as 0 (unlimited) and
+  // "8x" as 8. Each is refused, naming the value, and leaves *pages alone.
+  for (const char* bad : {"-1", "abc", "8x", " 8", "+8", "8 ", "0x10",
+                          "99999999999999999999999"}) {
+    pages = 7;
+    const Status status = ParseSpillBudgetEnv(bad, &pages);
+    EXPECT_EQ(status.code, Status::Code::kInvalidArgument) << bad;
+    EXPECT_NE(status.message.find(std::string("'") + bad + "'"),
+              std::string::npos)
+        << status.message;
+    EXPECT_EQ(pages, 7u) << bad;
+  }
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 // interpreted (EvalPred / EvalMulti below), and every navigation step looks
 // its attribute up by name on each object. It charges pages straight into
 // the database's buffer pool in evaluation order and keeps its own counters
-// and its own fixpoint memo. It has no budget, spill, fault injection,
+// and its own fixpoint memo. It has no budget, spill, forced deadlines,
 // op-stats, tracing or streaming.
 //
 // The batched engine defers its page charges and replays them in exactly

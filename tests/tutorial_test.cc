@@ -9,7 +9,6 @@
 
 #include "api/engine.h"
 #include "api/session.h"
-#include "common/faults.h"
 #include "exec/executor.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -169,11 +168,7 @@ TEST_F(TutorialTest, CompiledEvalSectionWorksAsWritten) {
 }
 
 TEST_F(TutorialTest, PreparedQueriesSectionWorksAsWritten) {
-  // Mirrors "Prepared queries and the plan cache". An enabled fault
-  // injector bypasses the cache by design (docs/ROBUSTNESS.md), so pin it
-  // off for the cache-hit assertions and restore the env config after.
-  FaultInjector::Global().Configure(FaultConfig{});
-
+  // Mirrors "Prepared queries and the plan cache".
   Session session(db_.get());
   PreparedQuery pq = session.Prepare(kQuery);
   ASSERT_TRUE(pq.ok()) << pq.status().message;
@@ -200,8 +195,6 @@ TEST_F(TutorialTest, PreparedQueriesSectionWorksAsWritten) {
   traced.collect_trace = true;
   EXPECT_EQ(session.Query(kQuery, traced).status().code,
             Status::Code::kInvalidArgument);
-
-  FaultInjector::Global().ConfigureFromEnv();
 }
 
 TEST_F(TutorialTest, BudgetsAndCancellationSectionWorksAsWritten) {
@@ -332,9 +325,6 @@ TEST_F(TutorialTest, MutatingDataSectionWorksAsWritten) {
 }
 
 TEST_F(TutorialTest, AdaptiveFeedbackSectionWorksAsWritten) {
-  if (FaultInjector::Global().enabled()) {
-    GTEST_SKIP() << "faulted runs never feed back, as the section says";
-  }
   Session session(db_.get());
   QueryOptions fb;
   fb.feedback.enabled = true;

@@ -14,7 +14,6 @@
 
 #include "api/engine.h"
 #include "api/session.h"
-#include "common/faults.h"
 #include "datagen/music_gen.h"
 #include "datagen/parts_gen.h"
 #include "storage/buffer_pool.h"
@@ -24,20 +23,14 @@
 namespace rodin {
 namespace {
 
-/// The plan-cache assertions here need a live cache, and an enabled fault
-/// injector bypasses the cache by design — so the fixture pins the
-/// process-global injector off (as PlanCacheTest does) and restores the
-/// RODIN_FAULTS configuration afterwards.
 class TxnTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    FaultInjector::Global().Configure(FaultConfig{});  // disabled
     MusicConfig config;
     config.num_composers = 40;
     config.lineage_depth = 8;
     g_ = GenerateMusicDb(config, PaperMusicPhysical());
   }
-  void TearDown() override { FaultInjector::Global().ConfigureFromEnv(); }
 
   /// Rows of `select [n: x.name] from x in Composer where x.name = <name>`.
   size_t CountByName(Session& session, const std::string& name) {
