@@ -52,8 +52,6 @@ select [dname: j.disciple.name] from j in Influencer
 where j.master.works.instruments.iname = "harpsichord" and j.gen >= 6
 )";
 
-constexpr size_t kUnlimitedPages = size_t{1} << 30;
-
 std::vector<std::string> Keys(const Table& t) {
   std::vector<std::string> out;
   for (const Row& row : t.rows) {
@@ -124,7 +122,6 @@ int main(int argc, char** argv) {
 
     QueryOptions unlimited;
     unlimited.cold = true;
-    unlimited.query.spill_budget_pages = kUnlimitedPages;
     const QueryRun base = session.Run(kFig3Text, unlimited);
     if (!base.ok()) {
       std::fprintf(stderr, "unlimited run failed at scale %u: %s\n", scale,

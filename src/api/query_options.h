@@ -20,8 +20,8 @@ namespace rodin {
 struct FeedbackOptions {
   /// Harvest measured cardinalities from this run and cost this run's
   /// optimization with the learned corrections (off by default). Feedback
-  /// never changes results, only plans; faulted, truncated and cancelled
-  /// runs never contribute.
+  /// never changes results, only plans; failed, truncated, cancelled and
+  /// undrained runs never contribute.
   bool enabled = false;
   /// Demote a *cached* plan when measured cost drifts this many times from
   /// its estimate, in either direction (0 = inherit the engine default,

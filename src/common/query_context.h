@@ -34,7 +34,7 @@ class CancelToken {
 /// engines reference it by pointer (never copy the fields), so there is
 /// exactly one source of truth per run.
 ///
-/// The deadline is armed per attempt: `Session` copies the caller's context
+/// The deadline is armed once per run: `Session` copies the caller's context
 /// (the cancel token still shares its flag), calls ArmDeadline() at run
 /// start, and threads `const QueryContext*` through every stage. Check() is
 /// then a relaxed atomic load plus, when a deadline is set, one clock read —
@@ -68,12 +68,12 @@ struct QueryContext {
   /// Temp-page ledger budget override for the spill decision only. Unlike
   /// memory_budget_pages it does NOT clamp the buffer pool's LRU capacity,
   /// so accounting stays bit-identical to an unlimited run while spilling
-  /// is forced — the knob CI uses to exercise spill paths everywhere.
+  /// is forced — the knob tests use to force one query's spill paths.
   /// Precedence: this value when nonzero, else memory_budget_pages, else
-  /// the RODIN_SPILL_BUDGET environment default. 0 = inherit.
+  /// unlimited. 0 = inherit memory_budget_pages.
   size_t spill_budget_pages = 0;
 
-  /// Starts the deadline clock. Called once per run attempt by Session;
+  /// Starts the deadline clock. Called once per run by Session;
   /// a context that was never armed has no deadline even if deadline_ms is
   /// set (so an unarmed default context checks as kOk everywhere).
   void ArmDeadline() {

@@ -134,7 +134,7 @@ class FeedbackRegistry {
   /// so the update is multiplicative; a converged factor sees ratio ~= 1 and
   /// stays put). `stats_version` guards freshness: an older version drops
   /// the whole harvest, a newer one clears the registry first. Returns the
-  /// number of observations accepted. Callers must not feed faulted,
+  /// number of observations accepted. Callers must not feed failed,
   /// truncated or cancelled runs (Session enforces this).
   size_t Harvest(const std::vector<PlanNodeStats>& nodes,
                  uint64_t stats_version, double alpha);

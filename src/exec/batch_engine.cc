@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -1007,10 +1008,15 @@ class NLJoinOp : public Op {
   /// is refused) and ProbePair captures per pair instead.
   void CaptureInnerMemo() {
     const bool budgeted = ctx_->ledger_budget > 0;
-    const uint64_t room =
+    const uint64_t free_pages =
         budgeted && ctx_->ledger_budget > ctx_->live_temp_pages
-            ? (ctx_->ledger_budget - ctx_->live_temp_pages) * kPageSizeBytes
+            ? ctx_->ledger_budget - ctx_->live_temp_pages
             : 0;
+    // Saturated: at 2^52 free pages and above the byte count would wrap.
+    const uint64_t room =
+        free_pages > std::numeric_limits<uint64_t>::max() / kPageSizeBytes
+            ? std::numeric_limits<uint64_t>::max()
+            : free_pages * kPageSizeBytes;
     vm::VmScratch scratch;
     inner_memo_.Clear(pred_.inner_slots.size());
     bool fits = true;

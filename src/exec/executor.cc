@@ -1,9 +1,7 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -131,43 +129,10 @@ uint64_t TempRowPages(size_t ncols) {
   return std::max<uint64_t>(1, (bytes + kPageSizeBytes - 1) / kPageSizeBytes);
 }
 
-Status ParseSpillBudgetEnv(const char* value, size_t* pages) {
-  if (value == nullptr || value[0] == '\0') {
-    *pages = 0;
-    return Status::Ok();
-  }
-  // strtoull alone would take "-1" as 2^64-1, "abc" as 0 and "8x" as 8;
-  // only a complete run of decimal digits that fits a size_t is a count.
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long n = std::strtoull(value, &end, 10);
-  if (value[0] < '0' || value[0] > '9' || *end != '\0' || errno == ERANGE ||
-      n > SIZE_MAX) {
-    return Status::Error(Status::Code::kInvalidArgument,
-                         std::string("RODIN_SPILL_BUDGET: '") + value +
-                             "' is not an unsigned page count");
-  }
-  *pages = static_cast<size_t>(n);
-  return Status::Ok();
-}
-
-size_t SpillBudgetEnvDefault() {
-  static const size_t pages = [] {
-    size_t parsed = 0;
-    const Status status =
-        ParseSpillBudgetEnv(std::getenv("RODIN_SPILL_BUDGET"), &parsed);
-    RODIN_CHECK(status.ok(), status.message.c_str());
-    return parsed;
-  }();
-  return pages;
-}
-
 size_t EffectiveSpillBudgetPages(const QueryContext* query) {
-  if (query != nullptr) {
-    if (query->spill_budget_pages > 0) return query->spill_budget_pages;
-    if (query->memory_budget_pages > 0) return query->memory_budget_pages;
-  }
-  return SpillBudgetEnvDefault();
+  if (query == nullptr) return 0;
+  return query->spill_budget_pages > 0 ? query->spill_budget_pages
+                                       : query->memory_budget_pages;
 }
 
 void Executor::EmitExecMetrics(size_t rows) {

@@ -47,23 +47,8 @@ struct OpStats {
   double micros = 0;    // coordinator wall time spent in the operator
 };
 
-/// Parses a RODIN_SPILL_BUDGET value into *pages. Null or empty is 0
-/// (unlimited). Anything but a complete unsigned decimal integer that fits a
-/// size_t ("-1", "abc", "8x", " 8") is kInvalidArgument naming the value,
-/// and *pages is left untouched.
-Status ParseSpillBudgetEnv(const char* value, size_t* pages);
-
-/// Process-wide default for the temp-page ledger budget when the query sets
-/// neither spill_budget_pages nor memory_budget_pages: the RODIN_SPILL_BUDGET
-/// environment variable (pages; read once; 0 / unset = unlimited). A value
-/// ParseSpillBudgetEnv refuses stops the process with its message. CI's
-/// spill job forces a tiny value here to exercise the spill paths in every
-/// test without touching the buffer pool's accounting.
-size_t SpillBudgetEnvDefault();
-
 /// Resolves the run's effective temp-page ledger budget (0 = unlimited):
-/// query->spill_budget_pages when nonzero, else query->memory_budget_pages
-/// when nonzero, else the RODIN_SPILL_BUDGET default.
+/// query->spill_budget_pages when nonzero, else query->memory_budget_pages.
 size_t EffectiveSpillBudgetPages(const QueryContext* query);
 
 /// Which operator working set hit the budget. Carried in the

@@ -12,6 +12,7 @@
 #include "api/session.h"
 #include "common/faults.h"
 #include "datagen/music_gen.h"
+#include "support/reference_exec.h"
 
 namespace rodin {
 namespace {
@@ -26,14 +27,6 @@ relation Influencer includes
 select [dname: j.disciple.name] from j in Influencer
 where j.master.works.instruments.iname = "harpsichord" and j.gen >= 6
 )";
-
-void ExpectSameCounters(const ExecCounters& a, const ExecCounters& b) {
-  EXPECT_EQ(a.predicate_evals, b.predicate_evals);
-  EXPECT_EQ(a.method_calls, b.method_calls);
-  EXPECT_EQ(a.method_cost, b.method_cost);
-  EXPECT_EQ(a.rows_produced, b.rows_produced);
-  EXPECT_EQ(a.fix_iterations, b.fix_iterations);
-}
 
 GeneratedDb MakeDb() {
   MusicConfig config;

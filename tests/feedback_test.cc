@@ -27,6 +27,7 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "support/random_queries.h"
+#include "support/reference_exec.h"
 
 namespace rodin {
 namespace {
@@ -57,14 +58,6 @@ std::vector<std::string> Keys(const Table& t) {
     out.push_back(std::move(key));
   }
   return out;
-}
-
-void ExpectSameCounters(const ExecCounters& a, const ExecCounters& b) {
-  EXPECT_EQ(a.predicate_evals, b.predicate_evals);
-  EXPECT_EQ(a.method_calls, b.method_calls);
-  EXPECT_EQ(a.method_cost, b.method_cost);
-  EXPECT_EQ(a.rows_produced, b.rows_produced);
-  EXPECT_EQ(a.fix_iterations, b.fix_iterations);
 }
 
 /// A synthetic harvested row (registry unit tests drive Harvest directly).

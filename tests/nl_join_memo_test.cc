@@ -18,9 +18,10 @@
 // materialized inner (a temp that the forced arm spills), over batch
 // {1, 7, 1024} x threads {1, 4} x {unlimited, forced spill}. Records are
 // wide and the buffer pool small, so the order of the charges decides the
-// misses. One more arm: ledger budgets small enough that the inner memo
+// misses. Two more arms: ledger budgets small enough that the inner memo
 // does not fit beside the inner's rows (each pair then captures its inner
-// slots itself).
+// slots itself), and budgets so large that their byte count overflows
+// 64 bits (the memo must still fit).
 
 #include <gtest/gtest.h>
 
@@ -38,10 +39,6 @@
 
 namespace rodin {
 namespace {
-
-/// Large enough that nothing spills, and immune to a forced
-/// RODIN_SPILL_BUDGET: an engaged spill_budget_pages takes precedence.
-constexpr size_t kUnlimitedPages = size_t{1} << 30;
 
 ExprPtr P(const std::string& var, std::vector<std::string> path = {}) {
   return Expr::Path(var, std::move(path));
@@ -172,7 +169,6 @@ class NlJoinMemoTest : public ::testing::Test {
     composer_ = g_.schema->FindClass("Composer");
     composition_ = g_.schema->FindClass("Composition");
     unlimited_.spill = true;
-    unlimited_.spill_budget_pages = kUnlimitedPages;
     forced_.spill = true;
     forced_.spill_budget_pages = 1;  // the filtered inner goes to disk
   }
@@ -244,7 +240,9 @@ TEST_F(NlJoinMemoTest, InnerMemoOverTheLedgerFallsBackPerPair) {
   // the memo (nothing spills or is refused for it) and each pair captures
   // its inner row's slots itself, which still matches the reference. The
   // fallback shows in rodin.vm.rows_evaluated: the per-pair captures are
-  // extra slot evaluations.
+  // extra slot evaluations. Budgets of 2^30 pages and more hold any memo
+  // and must run like no budget at all, down to the slot evaluations; from
+  // 2^52 pages on the room in bytes exceeds 64 bits and must saturate.
   obs::Counter* vm_rows =
       obs::MetricsRegistry::Global().GetCounter("rodin.vm.rows_evaluated");
   auto vm_rows_of = [&](const PTNode& plan, const QueryContext* query) {
@@ -256,10 +254,14 @@ TEST_F(NlJoinMemoTest, InnerMemoOverTheLedgerFallsBackPerPair) {
     const ExecFingerprint fp = EngineFingerprint(g_.db.get(), plan, options);
     return std::make_pair(vm_rows->value() - before, fp.spills);
   };
-  std::vector<QueryContext> budgets(6);
-  for (size_t k = 0; k < budgets.size(); ++k) {
-    budgets[k].spill = true;
-    budgets[k].spill_budget_pages = k + 1;
+  constexpr size_t kHugeBudget = size_t{1} << 30;
+  std::vector<QueryContext> budgets;
+  for (size_t pages : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{5},
+                       size_t{6}, kHugeBudget, size_t{1} << 52,
+                       size_t{1} << 60}) {
+    budgets.emplace_back();
+    budgets.back().spill = true;
+    budgets.back().spill_budget_pages = pages;
   }
   size_t fallbacks_beside_rows = 0;
   for (const JoinCase& c : Corpus()) {
@@ -275,7 +277,10 @@ TEST_F(NlJoinMemoTest, InnerMemoOverTheLedgerFallsBackPerPair) {
                                      {{"budget", &budget}});
         if (HasFailure()) return;
         const auto [rows, spills] = vm_rows_of(*plan, &budget);
-        if (materialized && spills == 0 && rows > memo_rows) {
+        if (budget.spill_budget_pages >= kHugeBudget) {
+          EXPECT_EQ(rows, memo_rows) << label;
+          EXPECT_EQ(spills, 0u) << label;
+        } else if (materialized && spills == 0 && rows > memo_rows) {
           ++fallbacks_beside_rows;
         }
       }

@@ -27,6 +27,7 @@
 #include "query/graph_queries.h"
 #include "query/paper_queries.h"
 #include "query/parser.h"
+#include "support/reference_exec.h"
 
 namespace rodin {
 namespace {
@@ -50,14 +51,6 @@ std::vector<std::string> Keys(const Table& t) {
     out.push_back(std::move(key));
   }
   return out;
-}
-
-void ExpectSameCounters(const ExecCounters& a, const ExecCounters& b) {
-  EXPECT_EQ(a.predicate_evals, b.predicate_evals);
-  EXPECT_EQ(a.method_calls, b.method_calls);
-  EXPECT_EQ(a.method_cost, b.method_cost);
-  EXPECT_EQ(a.rows_produced, b.rows_produced);
-  EXPECT_EQ(a.fix_iterations, b.fix_iterations);
 }
 
 GeneratedDb MakeMusicDb() {

@@ -24,6 +24,8 @@
 
 #include "api/engine.h"
 #include "common/faults.h"
+#include "obs/config.h"
+#include "obs/metrics.h"
 #include "server/client.h"
 #include "server/governor.h"
 #include "server/server.h"
@@ -601,6 +603,44 @@ TEST_F(ServerTest, ForcedDeadlineTravelsTheWire) {
 
   const ClientResult ok = client.Query(kRecursiveQuery);
   EXPECT_TRUE(ok.ok()) << ok.status.ToString();
+}
+
+TEST_F(ServerTest, ForcedSpillBudgetTravelsTheWire) {
+  // A QUERY carrying spill_budget_pages = 1 spills the fixpoint's working
+  // sets on the server and answers exactly like its unlimited twin: the
+  // same rows in the same order, rows produced and measured cost.
+  StartServer(60, 2, 4);
+  Client client = Connected();
+  obs::Counter* spills =
+      obs::MetricsRegistry::Global().GetCounter("rodin.spill.spills");
+  // The server's sessions share one buffer pool, so a request's misses
+  // depend on what earlier ones left resident. Spilling leaves the page
+  // charges unchanged, so after one warm-up run of the query each twin
+  // starts from the LRU state that run left behind.
+  ASSERT_TRUE(client.Query(kRecursiveQuery).ok());
+
+  QueryOptions forced;
+  forced.query.spill_budget_pages = 1;
+  uint64_t before = spills->value();
+  const ClientResult spilled = client.Query(kRecursiveQuery, forced);
+  const uint64_t forced_spills = spills->value() - before;
+  before = spills->value();
+  const ClientResult in_memory = client.Query(kRecursiveQuery);
+  const uint64_t unlimited_spills = spills->value() - before;
+  ASSERT_TRUE(spilled.ok()) << spilled.status.ToString();
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status.ToString();
+
+  ASSERT_GT(in_memory.rows.size(), 50u);
+  ASSERT_EQ(spilled.rows.size(), in_memory.rows.size());
+  for (size_t i = 0; i < in_memory.rows.size(); ++i) {
+    EXPECT_EQ(spilled.rows[i][0].Compare(in_memory.rows[i][0]), 0) << i;
+  }
+  EXPECT_EQ(spilled.rows_produced, in_memory.rows_produced);
+  EXPECT_EQ(spilled.measured_cost, in_memory.measured_cost);
+  if (obs::kObsEnabled) {
+    EXPECT_GT(forced_spills, 0u);
+    EXPECT_EQ(unlimited_spills, 0u);
+  }
 }
 
 TEST_F(ServerTest, ShedUnderLoadReturnsTypedOverloaded) {

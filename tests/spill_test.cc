@@ -12,8 +12,10 @@
 // that each fit the budget individually must still trip / spill together),
 // the machine-readable kResourceExhausted detail when spilling is off, the
 // single-oversized-row refusal, spilled fix-cache hits, lifecycle (cancel /
-// forced deadline) interactions mid-spill, and the RODIN_SPILL_BUDGET
-// grammar.
+// forced deadline) interactions mid-spill, and the API surfaces a forced
+// ledger reaches: a traced Session::Run (the execute span's spill args), a
+// Session::Query cursor drained or destroyed early, and an executor-owned
+// cursor destroyed early. Each is checked against an unlimited twin.
 //
 // Queries cover the paper's Figure 3 recursion plus randomized SPJ,
 // recursive and graph-closure queries (the exec_differential_test
@@ -22,7 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/session.h"
@@ -33,7 +37,10 @@
 #include "datagen/graph_gen.h"
 #include "datagen/music_gen.h"
 #include "exec/executor.h"
+#include "exec/result_cursor.h"
+#include "obs/config.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "optimizer/baseline.h"
 #include "optimizer/optimizer.h"
 #include "query/builder.h"
@@ -47,11 +54,6 @@
 namespace rodin {
 namespace {
 
-/// An explicit "unlimited" ledger: large enough that nothing spills, and —
-/// because an engaged spill_budget_pages takes precedence — immune to a
-/// RODIN_SPILL_BUDGET forced by the surrounding CI job.
-constexpr size_t kUnlimitedPages = size_t{1} << 30;
-
 QueryContext ForcedSpillContext() {
   QueryContext q;
   q.spill = true;
@@ -61,8 +63,7 @@ QueryContext ForcedSpillContext() {
 
 QueryContext UnlimitedContext() {
   QueryContext q;
-  q.spill = true;
-  q.spill_budget_pages = kUnlimitedPages;
+  q.spill = true;  // spilling allowed, but no ledger budget to spill over
   return q;
 }
 
@@ -240,7 +241,6 @@ TEST(SpillLedgerTest, CumulativeLiveTempPagesTripAcrossAllocations) {
   Session session(g.db.get());
   QueryOptions unlimited;
   unlimited.cold = true;
-  unlimited.query.spill_budget_pages = kUnlimitedPages;
   const QueryRun base = session.Run(kTwoClosuresText, unlimited);
   ASSERT_TRUE(base.ok()) << base.error();
 
@@ -472,7 +472,6 @@ TEST_F(SpillLifecycleTest, ForcedDeadlineMidFixpointUnderForcedSpill) {
 
   QueryOptions unlimited;
   unlimited.cold = true;
-  unlimited.query.spill_budget_pages = kUnlimitedPages;
   const QueryRun in_memory = session.Run(kFig3Text, unlimited);
   EXPECT_EQ(in_memory.status.code, Status::Code::kDeadlineExceeded)
       << in_memory.status.ToString();
@@ -483,34 +482,212 @@ TEST_F(SpillLifecycleTest, ForcedDeadlineMidFixpointUnderForcedSpill) {
   EXPECT_EQ(run.measured_cost, in_memory.measured_cost);
 }
 
-// --- RODIN_SPILL_BUDGET ------------------------------------------------------
+// --- The API surfaces under a forced ledger ---------------------------------
+// A 1-page spill_budget_pages on one query, against the same query with no
+// budget: the same rows, ExecCounters and measured cost, and the forced
+// twin really spilled.
 
-TEST(SpillBudgetEnvTest, OnlyCompleteUnsignedIntegersParse) {
-  size_t pages = 99;
-  ASSERT_TRUE(ParseSpillBudgetEnv(nullptr, &pages).ok());
-  EXPECT_EQ(pages, 0u);
-  pages = 99;
-  ASSERT_TRUE(ParseSpillBudgetEnv("", &pages).ok());
-  EXPECT_EQ(pages, 0u);
-  ASSERT_TRUE(ParseSpillBudgetEnv("0", &pages).ok());
-  EXPECT_EQ(pages, 0u);
-  ASSERT_TRUE(ParseSpillBudgetEnv("1", &pages).ok());
-  EXPECT_EQ(pages, 1u);
-  ASSERT_TRUE(ParseSpillBudgetEnv("4096", &pages).ok());
-  EXPECT_EQ(pages, 4096u);
+/// The rodin.spill.* metrics (zero when observability is compiled out).
+struct SpillMetrics {
+  uint64_t spills = 0;
+  uint64_t partitions = 0;
+  uint64_t bytes = 0;
+  uint64_t passes = 0;
 
-  // strtoull alone read "-1" as 2^64-1 pages, "abc" as 0 (unlimited) and
-  // "8x" as 8. Each is refused, naming the value, and leaves *pages alone.
-  for (const char* bad : {"-1", "abc", "8x", " 8", "+8", "8 ", "0x10",
-                          "99999999999999999999999"}) {
-    pages = 7;
-    const Status status = ParseSpillBudgetEnv(bad, &pages);
-    EXPECT_EQ(status.code, Status::Code::kInvalidArgument) << bad;
-    EXPECT_NE(status.message.find(std::string("'") + bad + "'"),
-              std::string::npos)
-        << status.message;
-    EXPECT_EQ(pages, 7u) << bad;
+  static SpillMetrics Now() {
+    auto value = [](const char* name) {
+      return obs::MetricsRegistry::Global().GetCounter(name)->value();
+    };
+    return {value("rodin.spill.spills"), value("rodin.spill.partitions"),
+            value("rodin.spill.bytes"), value("rodin.spill.passes")};
   }
+
+  SpillMetrics Since(const SpillMetrics& before) const {
+    return {spills - before.spills, partitions - before.partitions,
+            bytes - before.bytes, passes - before.passes};
+  }
+};
+
+/// The run's spill metrics, checked against the twin it belongs to: the
+/// forced twin spilled, the unlimited one did not.
+void ExpectSpilled(const SpillMetrics& forced, const SpillMetrics& unlimited) {
+  if (!obs::kObsEnabled) return;
+  EXPECT_GT(forced.spills, 0u);
+  EXPECT_GT(forced.partitions, 0u);
+  EXPECT_GT(forced.bytes, 0u);
+  EXPECT_EQ(unlimited.spills, 0u);
+}
+
+/// The args of the trace's one "execute" span.
+std::map<std::string, std::string> ExecuteSpanArgs(const obs::Trace& trace) {
+  std::map<std::string, std::string> args;
+  size_t spans = 0;
+  for (const obs::TraceEvent& event : trace.events()) {
+    if (event.name != "execute") continue;
+    ++spans;
+    args.insert(event.args.begin(), event.args.end());
+  }
+  EXPECT_EQ(spans, 1u);
+  return args;
+}
+
+class SpillSurfaceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    g_ = MakeLedgerDb();
+    forced_.cold = true;
+    forced_.query.spill_budget_pages = 1;
+    unlimited_.cold = true;
+  }
+  GeneratedDb g_;
+  QueryOptions forced_;
+  QueryOptions unlimited_;
+};
+
+TEST_F(SpillSurfaceTest, TracedRunCarriesSpillArgsOnlyWhenItSpilled) {
+  Session session(g_.db.get());
+  forced_.collect_trace = true;
+  unlimited_.collect_trace = true;
+  SpillMetrics before = SpillMetrics::Now();
+  const QueryRun spilled = session.Run(kFig3Text, forced_);
+  const SpillMetrics forced = SpillMetrics::Now().Since(before);
+  before = SpillMetrics::Now();
+  const QueryRun in_memory = session.Run(kFig3Text, unlimited_);
+  const SpillMetrics unlimited = SpillMetrics::Now().Since(before);
+  ASSERT_TRUE(spilled.ok()) << spilled.error();
+  ASSERT_TRUE(in_memory.ok()) << in_memory.error();
+
+  EXPECT_FALSE(in_memory.answer.rows.empty());
+  EXPECT_EQ(Keys(spilled.answer), Keys(in_memory.answer));
+  ExpectSameCounters(spilled.counters, in_memory.counters);
+  EXPECT_EQ(spilled.measured_cost, in_memory.measured_cost);
+  ExpectSpilled(forced, unlimited);
+
+  if (!obs::kObsEnabled) return;  // the tracer is compiled out
+  ASSERT_NE(spilled.trace, nullptr);
+  ASSERT_NE(in_memory.trace, nullptr);
+  // docs/OBSERVABILITY.md: a run that spilled adds its partitions, bytes
+  // and read-back passes to the execute span; one that did not adds none.
+  const std::map<std::string, std::string> args =
+      ExecuteSpanArgs(*spilled.trace);
+  ASSERT_EQ(args.count("spill_partitions"), 1u);
+  ASSERT_EQ(args.count("spill_bytes"), 1u);
+  ASSERT_EQ(args.count("spill_passes"), 1u);
+  EXPECT_EQ(args.at("spill_partitions"), std::to_string(forced.partitions));
+  EXPECT_EQ(args.at("spill_bytes"), std::to_string(forced.bytes));
+  EXPECT_EQ(args.at("spill_passes"), std::to_string(forced.passes));
+  const std::map<std::string, std::string> plain =
+      ExecuteSpanArgs(*in_memory.trace);
+  EXPECT_EQ(plain.count("spill_partitions"), 0u);
+  EXPECT_EQ(plain.count("spill_bytes"), 0u);
+  EXPECT_EQ(plain.count("spill_passes"), 0u);
+}
+
+TEST_F(SpillSurfaceTest, DrainedCursorMatchesItsUnlimitedTwin) {
+  Session session(g_.db.get());
+  forced_.batch_rows = 3;
+  unlimited_.batch_rows = 3;
+  SpillMetrics before = SpillMetrics::Now();
+  ResultCursor spilled = session.Query(kFig3Text, forced_);
+  const Table spilled_rows = spilled.ToTable();
+  const SpillMetrics forced = SpillMetrics::Now().Since(before);
+  before = SpillMetrics::Now();
+  ResultCursor in_memory = session.Query(kFig3Text, unlimited_);
+  const Table in_memory_rows = in_memory.ToTable();
+  const SpillMetrics unlimited = SpillMetrics::Now().Since(before);
+
+  ASSERT_TRUE(spilled.ok()) << spilled.error();
+  ASSERT_TRUE(in_memory.ok()) << in_memory.error();
+  EXPECT_FALSE(in_memory_rows.rows.empty());
+  EXPECT_EQ(Keys(spilled_rows), Keys(in_memory_rows));
+  ExpectSameCounters(spilled.counters(), in_memory.counters());
+  EXPECT_EQ(spilled.measured_cost(), in_memory.measured_cost());
+  ExpectSpilled(forced, unlimited);
+}
+
+/// Keys of the next batch the cursor yields (expected to exist).
+std::vector<std::string> NextBatchKeys(ResultCursor* cursor) {
+  RowBatch batch;
+  EXPECT_TRUE(cursor->Next(&batch));
+  Table table;
+  table.rows = std::move(batch.rows);
+  return Keys(table);
+}
+
+TEST_F(SpillSurfaceTest, CursorDestroyedEarlyMatchesItsUnlimitedTwin) {
+  // One batch of one row, then the cursor goes away: the fixpoint below
+  // the answer has run (and spilled) in full, the rest of the stream never
+  // does. Session::Query's executor dies with its cursor, so its partial
+  // run shows only in the buffer pool and the metrics; an executor that
+  // outlives its cursor also keeps the partial counters and measured cost.
+  forced_.batch_rows = 1;
+  unlimited_.batch_rows = 1;
+  struct Partial {
+    std::vector<std::string> rows;
+    BufferPool::Stats pool;
+    SpillMetrics spill;
+  };
+  Session session(g_.db.get());
+  auto abandon_query = [&](const QueryOptions& options) {
+    Partial out;
+    const SpillMetrics before = SpillMetrics::Now();
+    {
+      ResultCursor cursor = session.Query(kFig3Text, options);
+      EXPECT_TRUE(cursor.ok()) << cursor.error();
+      out.rows = NextBatchKeys(&cursor);
+    }
+    out.pool = g_.db->buffer_pool().stats();  // a cold run zeroes them
+    out.spill = SpillMetrics::Now().Since(before);
+    return out;
+  };
+  const Partial spilled = abandon_query(forced_);
+  const Partial in_memory = abandon_query(unlimited_);
+  EXPECT_EQ(spilled.rows.size(), 1u);
+  EXPECT_EQ(spilled.rows, in_memory.rows);
+  EXPECT_GT(in_memory.pool.fetches, 0u);
+  EXPECT_EQ(spilled.pool.fetches, in_memory.pool.fetches);
+  EXPECT_EQ(spilled.pool.hits, in_memory.pool.hits);
+  EXPECT_EQ(spilled.pool.misses, in_memory.pool.misses);
+  ExpectSpilled(spilled.spill, in_memory.spill);
+
+  Stats stats = Stats::Derive(*g_.db);
+  CostModel cost(g_.db.get(), &stats);
+  Optimizer optimizer(g_.db.get(), &stats, &cost, CostBasedOptions(42));
+  OptimizeResult plan = optimizer.Optimize(Fig3Query(*g_.schema));
+  ASSERT_TRUE(plan.ok()) << plan.status.ToString();
+  struct Abandoned {
+    std::vector<std::string> rows;
+    ExecCounters counters;
+    double measured_cost = 0;
+    uint64_t spills = 0;
+  };
+  // Read before the next run: its cold start zeroes the shared pool's
+  // miss count that MeasuredCost() subtracts from.
+  auto abandon_stream = [&](const QueryContext& query) {
+    Executor exec(g_.db.get());
+    exec.ResetMeasurement(/*clear_buffer=*/true);
+    ExecOptions options;
+    options.batch_rows = 1;
+    options.query = &query;
+    Abandoned out;
+    {
+      ResultCursor cursor = exec.ExecuteStream(*plan.plan, options);
+      out.rows = NextBatchKeys(&cursor);
+    }
+    out.counters = exec.counters();
+    out.measured_cost = exec.MeasuredCost();
+    out.spills = exec.spill_stats().spills;
+    return out;
+  };
+  const Abandoned forced = abandon_stream(ForcedSpillContext());
+  const Abandoned unlimited = abandon_stream(UnlimitedContext());
+  EXPECT_EQ(forced.rows.size(), 1u);
+  EXPECT_EQ(forced.rows, unlimited.rows);
+  ExpectSameCounters(forced.counters, unlimited.counters);
+  EXPECT_GT(unlimited.measured_cost, 0);
+  EXPECT_EQ(forced.measured_cost, unlimited.measured_cost);
+  EXPECT_GT(forced.spills, 0u);
+  EXPECT_EQ(unlimited.spills, 0u);
 }
 
 }  // namespace

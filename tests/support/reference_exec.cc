@@ -606,14 +606,18 @@ ExecFingerprint EngineFingerprint(Database* db, const PTNode& plan,
   return fp;
 }
 
+void ExpectSameCounters(const ExecCounters& got, const ExecCounters& want) {
+  EXPECT_EQ(got.predicate_evals, want.predicate_evals);
+  EXPECT_EQ(got.method_calls, want.method_calls);
+  EXPECT_EQ(got.method_cost, want.method_cost);
+  EXPECT_EQ(got.rows_produced, want.rows_produced);
+  EXPECT_EQ(got.fix_iterations, want.fix_iterations);
+}
+
 void ExpectSameFingerprint(const ExecFingerprint& got,
                            const ExecFingerprint& want) {
   ASSERT_EQ(got.rows, want.rows);
-  EXPECT_EQ(got.counters.predicate_evals, want.counters.predicate_evals);
-  EXPECT_EQ(got.counters.method_calls, want.counters.method_calls);
-  EXPECT_EQ(got.counters.method_cost, want.counters.method_cost);
-  EXPECT_EQ(got.counters.rows_produced, want.counters.rows_produced);
-  EXPECT_EQ(got.counters.fix_iterations, want.counters.fix_iterations);
+  ExpectSameCounters(got.counters, want.counters);
   EXPECT_EQ(got.fetches, want.fetches);
   EXPECT_EQ(got.hits, want.hits);
   EXPECT_EQ(got.misses, want.misses);

@@ -119,6 +119,9 @@ ExecFingerprint ReferenceFingerprint(Database* db, const PTNode& plan);
 ExecFingerprint EngineFingerprint(Database* db, const PTNode& plan,
                                   const ExecOptions& options);
 
+/// Exact equality of every ExecCounters field (method cost bitwise).
+void ExpectSameCounters(const ExecCounters& got, const ExecCounters& want);
+
 /// Exact equality of everything but `spills` (MeasuredCost bitwise).
 void ExpectSameFingerprint(const ExecFingerprint& got,
                            const ExecFingerprint& want);
