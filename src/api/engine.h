@@ -79,8 +79,7 @@ class EngineHandle {
   /// version, so *every* session over this engine lazily re-derives its
   /// statistics on next use and the shared plan cache drops entries
   /// fingerprinted under the old version. Commits do this automatically;
-  /// this is the explicit hook (promoted from Session::RefreshStats, which
-  /// survives as a deprecated forwarder).
+  /// this is the explicit hook.
   void RefreshStats();
 
  private:

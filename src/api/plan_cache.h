@@ -38,7 +38,7 @@ struct PlanCacheEntry {
   double unpushed_variant_cost = -1;
 
   /// Session's stats version at insert time. A lookup under a newer version
-  /// drops the entry (RefreshStats invalidation).
+  /// drops the entry (stats refresh invalidation).
   uint64_t stats_version = 0;
 };
 
@@ -138,7 +138,7 @@ std::string PlanFingerprint(const QueryGraph& graph, const Database& db,
                             const std::string* graph_digest = nullptr);
 
 /// Assembles the fingerprint from precomputed components (Session caches
-/// the physical identity per RefreshStats, PreparedQuery the graph digest).
+/// the physical identity per stats refresh, PreparedQuery the graph digest).
 /// PlanFingerprint is this plus the component derivations.
 std::string ComposeFingerprint(const std::string& graph_digest,
                                const std::string& physical_identity,

@@ -72,9 +72,11 @@ struct QueryOptions {
   /// counters reset but resident pages stay.
   bool cold = false;
   /// Attach a span tracer to the optimizer and executor; the resulting
-  /// QueryRun::trace / ExplainResult::trace exports Chrome trace_event JSON.
+  /// QueryRun::trace / ExplainResult::trace / ResultCursor::trace exports
+  /// Chrome trace_event JSON.
   bool collect_trace = false;
-  /// Optimize only — skip execution (answer stays empty, measured_cost -1).
+  /// Optimize only — skip execution (answer stays empty, measured_cost -1;
+  /// a Session::Query cursor comes back finished with no rows).
   bool explain_only = false;
   /// Override the session's transformPT search parallelism (nullopt = keep
   /// the session's OptimizerOptions value; engaged 0 = kInvalidArgument).

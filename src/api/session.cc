@@ -124,7 +124,8 @@ ExplainResult PreparedQuery::Explain(const QueryOptions& options) {
 
 ResultCursor PreparedQuery::Query(const QueryOptions& options) {
   if (!status_.ok()) return ResultCursor(status_);
-  return session_->QueryImpl(graph_, options, &digest_);
+  return session_->Open(graph_, options, &digest_, nullptr,
+                        /*caller_paced=*/true, nullptr);
 }
 
 Session::Session(Database* db, OptimizerOptions options, CostParams cost_params,
@@ -201,12 +202,6 @@ void Session::MaybeRefreshStats() {
   stats_ = tm_->CurrentStats(&stats_version_);
   cost_ = std::make_unique<CostModel>(db_, stats_.get(), cost_params_);
   physical_identity_ = PhysicalIdentity(*db_);
-}
-
-void Session::RefreshStats() {
-  tm_->BumpStatsVersion();
-  TxnManager::ReadGuard guard(tm_);
-  MaybeRefreshStats();
 }
 
 MutationResult Session::Apply(uint64_t txn_id, const MutationBatch& batch) {
@@ -351,86 +346,143 @@ bool Session::OptimizeThroughCache(const QueryGraph& graph,
   return false;
 }
 
-QueryRun Session::RunImpl(const QueryGraph& graph, const QueryOptions& options,
-                          Executor* exec, const std::string* graph_digest) {
-  QueryRun run;
-  run.graph = graph;
-  run.status = options.Validate();
-  if (!run.status.ok()) return run;
+/// Everything a cursor needs to keep alive: the executor doing the work, the
+/// optimizer artifacts the run reports, the armed lifecycle context the
+/// engine polls and the tracer its spans go to.
+struct Session::QueryState {
+  QueryState(Database* db, CostParams params, Executor* borrowed)
+      : exec(borrowed) {
+    if (exec == nullptr) exec = &owned.emplace(db, params);
+  }
+  std::optional<Executor> owned;
+  Executor* exec;  // `owned`, or the caller's (Explain's profiling executor)
+  OptimizeResult optimized;
+  DecisionLog decisions;
+  bool plan_cached = false;
+  double reoptimized_drift = 0;
+  /// One copy of the caller's budget with its deadline clock started; the
+  /// cancel token inside still shares the caller's flag, so RequestCancel()
+  /// from any thread stops the next batch however long the cursor lives.
+  QueryContext qctx;
+  obs::Tracer tracer;
+};
 
-  // The whole run holds the TxnManager read gate: a commit drains readers
-  // before mutating anything, so this run sees either the full pre- or full
-  // post-commit state — never a torn one. The guard is re-entrant, so
-  // Explain's delegation here nests fine.
+ResultCursor Session::Open(const QueryGraph& graph, const QueryOptions& options,
+                           const std::string* graph_digest, Executor* exec,
+                           bool caller_paced,
+                           std::shared_ptr<QueryState>* state_out) {
+  const Status valid = options.Validate();
+  if (!valid.ok()) return ResultCursor(valid);
+  // Optimization and stream setup run under the read gate (re-entrant, so a
+  // Run holding it for its whole drain nests fine). A caller-paced cursor
+  // is registered with the TxnManager *before* the gate releases, so a
+  // commit can never slip between setup and registration — it refuses
+  // (kConflict) while the cursor lives, which is what keeps the cursor's
+  // raw extent coordinates valid across user-paced pulls
+  // (docs/ROBUSTNESS.md).
   TxnManager::ReadGuard read_gate(tm_);
   MaybeRefreshStats();
 
-  // The run's armed lifecycle context: one copy of the caller's budget,
-  // deadline clock started here, referenced by pointer from every stage.
-  // The cancel token inside still shares the caller's flag.
-  QueryContext qctx = options.query;
-  qctx.ArmDeadline();
+  auto state = std::make_shared<QueryState>(db_, cost_params_, exec);
+  if (state_out != nullptr) *state_out = state;
+  state->qctx = options.query;
+  state->qctx.ArmDeadline();
+  obs::Tracer* tracer = options.collect_trace ? &state->tracer : nullptr;
 
-  obs::Tracer tracer;
   ObsSink sink;
-  sink.decisions = &run.decisions;
-  if (options.collect_trace) sink.tracer = &tracer;
-
+  sink.decisions = &state->decisions;
+  sink.tracer = tracer;
   OptimizerOptions opt_options = EffectiveOptions(options);
-  opt_options.query = &qctx;
+  opt_options.query = &state->qctx;
 
   const EffectiveFeedback fb = ResolveFeedback(options);
   FeedbackCorrections corrections;
   if (fb.on) {
-    uint64_t span = 0;
-    if (options.collect_trace) span = tracer.Begin("feedback.apply", "cost");
+    obs::ScopedSpan span(tracer, "feedback.apply", "cost");
     corrections = feedback_->Snapshot(stats_version_);
-    if (options.collect_trace) {
-      tracer.AddArg(span, "corrections",
-                    static_cast<double>(corrections.size()));
-      tracer.End(span);
-    }
+    span.Arg("corrections", static_cast<double>(corrections.size()));
   }
   std::string cache_key;
-  run.plan_cached = OptimizeThroughCache(
+  state->plan_cached = OptimizeThroughCache(
       graph, opt_options, sink, options, graph_digest,
-      fb.on ? &corrections : nullptr, &run.optimized, &run.decisions,
-      &cache_key, &run.reoptimized_drift);
-  if (!run.optimized.ok()) {
-    run.status = run.optimized.status;
-    if (options.collect_trace) run.trace = tracer.Finish();
-    return run;
+      fb.on ? &corrections : nullptr, &state->optimized, &state->decisions,
+      &cache_key, &state->reoptimized_drift);
+  if (!state->optimized.ok() || options.explain_only) {
+    // Nothing executes: an already finished cursor, ok and carrying the
+    // plan text when only the plan was asked for.
+    ResultCursor done(state->optimized.status);
+    if (done.ok()) done.set_plan_text(PrintPT(*state->optimized.plan));
+    if (tracer != nullptr) done.set_trace_source(tracer);
+    return done;
   }
-  run.plan_text = PrintPT(*run.optimized.plan);
 
-  if (!options.explain_only) {
-    Executor local(db_, cost_params_);
-    Executor& e = exec != nullptr ? *exec : local;
-    // Harvesting needs per-operator figures; the collection itself never
-    // touches ExecCounters, so counters stay bit-identical feedback-off.
-    if (fb.on) e.CollectOpStats(true);
-    if (options.collect_trace) e.set_tracer(&tracer);
-    if (shared_db_) {
-      e.ResetMeasurementShared();
-    } else {
-      e.ResetMeasurement(options.cold);
-    }
-    const Status exec_status = e.ExecuteInto(
-        *run.optimized.plan, options.MakeExecOptions(&qctx), &run.answer);
-    if (!exec_status.ok()) run.status = exec_status;
-    run.measured_cost = e.MeasuredCost();
-    run.counters = e.counters();
-    e.set_tracer(nullptr);
-    db_->buffer_pool().PublishMetrics();
-
-    // A failed run teaches the feedback registry nothing.
-    if (fb.on && run.status.ok()) {
-      HarvestFeedback(*feedback_, *plan_cache_, fb, run.optimized, e,
-                      stats_version_, run.plan_cached, cache_key,
-                      options.collect_trace ? &tracer : nullptr);
-    }
+  Executor& e = *state->exec;
+  // Harvesting needs per-operator figures; the collection itself never
+  // touches ExecCounters, so counters stay bit-identical feedback-off.
+  if (fb.on) e.CollectOpStats(true);
+  if (shared_db_) {
+    e.ResetMeasurementShared();
+  } else {
+    e.ResetMeasurement(options.cold);
   }
-  if (options.collect_trace) run.trace = tracer.Finish();
+  e.set_tracer(tracer);  // the cursor keeps it for its execute span
+  ResultCursor cursor = e.ExecuteStream(*state->optimized.plan,
+                                        options.MakeExecOptions(&state->qctx));
+  e.set_tracer(nullptr);
+  cursor.set_plan_text(PrintPT(*state->optimized.plan));
+
+  // The finish hook fires exactly once per cursor (drained, failed or
+  // destroyed), so the TxnManager's cursor count is balanced even for
+  // abandoned cursors. Everything it touches is held by value or shared
+  // pointer: a cursor may outlive its session.
+  if (caller_paced) tm_->BeginCursor();
+  TxnManager* tm = caller_paced ? tm_ : nullptr;
+  Database* db = db_;
+  std::shared_ptr<FeedbackRegistry> freg = fb.on ? feedback_ : nullptr;
+  std::shared_ptr<PlanCache> cache = plan_cache_;
+  const uint64_t harvest_version = stats_version_;
+  QueryState* st = state.get();  // the cursor's keepalive
+  cursor.set_on_finish([db, tm, freg, cache, fb, harvest_version, cache_key,
+                        st, tracer](const Status& status, bool drained) {
+    db->buffer_pool().PublishMetrics();
+    if (tm != nullptr) tm->EndCursor();
+    // Only a stream pulled to genuine exhaustion has complete measurements;
+    // failed, cancelled or abandoned runs teach the registry nothing.
+    if (freg == nullptr || !drained || !status.ok()) return;
+    HarvestFeedback(*freg, *cache, fb, st->optimized, *st->exec,
+                    harvest_version, st->plan_cached, cache_key, tracer);
+  });
+  if (tracer != nullptr) cursor.set_trace_source(tracer);
+  cursor.set_keepalive(std::move(state));
+  return cursor;
+}
+
+QueryRun Session::RunImpl(const QueryGraph& graph, const QueryOptions& options,
+                          Executor* exec, const std::string* graph_digest) {
+  QueryRun run;
+  run.graph = graph;
+  // The whole drain holds the read gate and the cursor is not registered:
+  // a commit waits for this run instead of refusing, and the run sees
+  // either the full pre- or the full post-commit state, never a torn one.
+  TxnManager::ReadGuard read_gate(tm_);
+  std::shared_ptr<QueryState> state;
+  {
+    ResultCursor cursor = Open(graph, options, graph_digest, exec,
+                               /*caller_paced=*/false, &state);
+    run.answer = cursor.ToTable();
+    run.status = cursor.status();
+    if (!run.ok()) run.answer.rows.clear();
+    run.plan_text = cursor.plan_text();
+    run.measured_cost = cursor.measured_cost();
+    run.counters = cursor.counters();
+    run.trace = cursor.trace();
+  }
+  if (state != nullptr) {
+    run.optimized = std::move(state->optimized);
+    run.decisions = std::move(state->decisions);
+    run.plan_cached = state->plan_cached;
+    run.reoptimized_drift = state->reoptimized_drift;
+  }
   return run;
 }
 
@@ -448,113 +500,18 @@ QueryRun Session::Run(const std::string& text, const QueryOptions& options) {
   return RunImpl(parsed.graph, options, nullptr, nullptr);
 }
 
-namespace {
-
-/// Everything a live cursor needs to keep alive: the executor doing the
-/// work plus the optimizer artifacts the cursor's accessors reference.
-struct QueryState {
-  QueryState(Database* db, CostParams params) : exec(db, params) {}
-  Executor exec;
-  OptimizeResult optimized;
-  DecisionLog decisions;
-  /// The cursor's armed lifecycle context. Lives exactly as long as the
-  /// cursor (keepalive), so the engine's per-batch polls stay valid however
-  /// long the caller holds the cursor — and a copy of the caller's cancel
-  /// token means RequestCancel() from any thread stops the next Next().
-  QueryContext qctx;
-};
-
-}  // namespace
-
-ResultCursor Session::QueryImpl(const QueryGraph& graph,
-                                const QueryOptions& options,
-                                const std::string* graph_digest) {
-  Status vstatus = options.Validate();
-  if (!vstatus.ok()) return ResultCursor(vstatus);
-  // Optimization and stream setup run under the read gate; the cursor is
-  // registered with the TxnManager *before* the gate releases, so a commit
-  // can never slip between setup and registration — it refuses (kConflict)
-  // while the cursor lives, which is what keeps the cursor's raw extent
-  // coordinates valid across user-paced pulls (docs/ROBUSTNESS.md).
-  TxnManager::ReadGuard read_gate(tm_);
-  MaybeRefreshStats();
-  if (options.collect_trace) {
-    // Silently dropping the flag (the old behaviour) made callers believe
-    // they had a trace when cursor.trace() never existed.
-    return ResultCursor(Status::Error(
-        Status::Code::kInvalidArgument,
-        "collect_trace is not supported on the streaming Query path; use "
-        "Session::Run or Session::Explain to collect a trace"));
-  }
-
-  auto state = std::make_shared<QueryState>(db_, cost_params_);
-  state->qctx = options.query;
-  state->qctx.ArmDeadline();
-
-  ObsSink sink;
-  sink.decisions = &state->decisions;
-  OptimizerOptions opt_options = EffectiveOptions(options);
-  opt_options.query = &state->qctx;
-  OptimizeResult& optimized = state->optimized;
-  const EffectiveFeedback fb = ResolveFeedback(options);
-  FeedbackCorrections corrections;
-  if (fb.on) corrections = feedback_->Snapshot(stats_version_);
-  std::string cache_key;
-  const bool cached = OptimizeThroughCache(
-      graph, opt_options, sink, options, graph_digest,
-      fb.on ? &corrections : nullptr, &optimized, &state->decisions,
-      &cache_key, nullptr);
-  if (!optimized.ok()) {
-    return ResultCursor(optimized.status);
-  }
-
-  if (fb.on) state->exec.CollectOpStats(true);
-  if (shared_db_) {
-    state->exec.ResetMeasurementShared();
-  } else {
-    state->exec.ResetMeasurement(options.cold);
-  }
-  // Streaming runs reference the state-owned context.
-  ResultCursor cursor = state->exec.ExecuteStream(
-      *state->optimized.plan, options.MakeExecOptions(&state->qctx));
-  cursor.set_plan_text(PrintPT(*state->optimized.plan));
-  Database* db = db_;
-  // The finalize hook fires exactly once per cursor (drained, failed or
-  // destroyed), so the TxnManager's cursor count is balanced even for
-  // abandoned cursors.
-  tm_->BeginCursor();
-  TxnManager* tm = tm_;  // outlives the cursor (it lives with the database)
-  // Feedback harvest context, resolved now: shared_ptrs keep the registry
-  // and cache alive past session teardown (a cursor may outlive its
-  // session), and the keepalive state carries the plan + op stats.
-  std::shared_ptr<FeedbackRegistry> freg = fb.on ? feedback_ : nullptr;
-  std::shared_ptr<PlanCache> cache = plan_cache_;
-  const uint64_t harvest_version = stats_version_;
-  std::shared_ptr<QueryState> keep = state;
-  cursor.set_on_finish([db, tm, freg, cache, fb, harvest_version, cached,
-                        cache_key, keep](const Status& st, bool drained) {
-    db->buffer_pool().PublishMetrics();
-    tm->EndCursor();
-    // Only a stream pulled to genuine exhaustion has complete measurements;
-    // cancelled, aborted or abandoned cursors teach the registry nothing.
-    if (freg == nullptr || !drained || !st.ok()) return;
-    HarvestFeedback(*freg, *cache, fb, keep->optimized, keep->exec,
-                    harvest_version, cached, cache_key, nullptr);
-  });
-  cursor.set_keepalive(std::move(state));
-  return cursor;
-}
-
 ResultCursor Session::Query(const QueryGraph& graph,
                             const QueryOptions& options) {
-  return QueryImpl(graph, options, nullptr);
+  return Open(graph, options, nullptr, nullptr, /*caller_paced=*/true,
+              nullptr);
 }
 
 ResultCursor Session::Query(const std::string& text,
                             const QueryOptions& options) {
   const ParseResult parsed = ParseQuery(text, db_->schema());
   if (!parsed.ok()) return ResultCursor(parsed.status);
-  return QueryImpl(parsed.graph, options, nullptr);
+  return Open(parsed.graph, options, nullptr, nullptr, /*caller_paced=*/true,
+              nullptr);
 }
 
 PreparedQuery Session::Prepare(const std::string& text) {

@@ -197,8 +197,9 @@ class PreparedQuery {
 /// — the optimizer pipeline is skipped entirely and the cached plan goes
 /// straight to execution (still under the caller's QueryContext). Pass a
 /// shared PlanCache to share across sessions; by default each session owns
-/// a private one. RefreshStats() invalidates this session's entries (stats
-/// version bump); truncated optimizations are never cached.
+/// a private one. A stats version bump (a commit, or EngineHandle::
+/// RefreshStats) invalidates the entries; truncated optimizations are
+/// never cached.
 /// QueryOptions::bypass_plan_cache opts a single run out.
 class Session {
  public:
@@ -224,13 +225,14 @@ class Session {
 
   /// Streaming execution: optimizes and returns a cursor over the answer
   /// instead of a materialized QueryRun. Rows are produced batch by batch
-  /// as the caller pulls (plan barriers still materialize internally);
-  /// cursor.counters() / measured_cost() are final once the cursor
-  /// finishes and are identical to what Run() reports for the same
-  /// options. Parse/optimize errors come back as a cursor with !ok().
-  /// QueryOptions::collect_trace is not supported here and returns a
-  /// kInvalidArgument cursor (use Run); the session must outlive the
-  /// cursor.
+  /// as the caller pulls (plan barriers still materialize internally).
+  /// Run() is this cursor drained, so cursor.counters(), measured_cost(),
+  /// plan_text() and — with QueryOptions::collect_trace — trace() are
+  /// final once the cursor finishes and identical to what Run() reports
+  /// for the same options. Under explain_only the cursor comes back
+  /// already finished, with the plan text and no rows. Parse/optimize
+  /// errors come back as a cursor with !ok(). While the cursor lives,
+  /// commits refuse with kConflict.
   ResultCursor Query(const std::string& text, const QueryOptions& options = {});
   ResultCursor Query(const QueryGraph& graph, const QueryOptions& options = {});
 
@@ -302,13 +304,6 @@ class Session {
   /// version, view policy).
   TxnManager& txn() { return *tm_; }
 
-  /// DEPRECATED: forwards to EngineHandle-style engine-wide refresh — bumps
-  /// the TxnManager stats version (invalidating plan-cache entries in every
-  /// session sharing the cache) and re-derives this session's statistics
-  /// immediately. Commits refresh automatically; prefer
-  /// EngineHandle::RefreshStats for an explicit engine-wide bump.
-  void RefreshStats();
-
  private:
   friend class PreparedQuery;
 
@@ -336,18 +331,31 @@ class Session {
                               bool plan_cached, const std::string& cache_key,
                               obs::Tracer* tracer);
 
+  struct QueryState;
+
+  /// The one query path behind Run, Query and Explain: validates, optimizes
+  /// through the plan cache under the read gate and returns a cursor over
+  /// the chosen plan. The cursor owns a QueryState (executor, optimizer
+  /// artifacts, decision log, tracer), and its finish hook publishes the
+  /// pool metrics and harvests feedback. `exec` (may be null) replaces the
+  /// state's own executor. A `caller_paced` cursor is registered with the
+  /// TxnManager until it finishes, so commits refuse meanwhile; an
+  /// unregistered one must be drained under the caller's read gate.
+  /// `state_out` (may be null) receives the state.
+  ResultCursor Open(const QueryGraph& graph, const QueryOptions& options,
+                    const std::string* graph_digest, Executor* exec,
+                    bool caller_paced, std::shared_ptr<QueryState>* state_out);
+  /// Drains Open's cursor under the read gate into a QueryRun.
   QueryRun RunImpl(const QueryGraph& graph, const QueryOptions& options,
                    Executor* exec, const std::string* graph_digest);
-  ResultCursor QueryImpl(const QueryGraph& graph, const QueryOptions& options,
-                         const std::string* graph_digest);
   ExplainResult ExplainImpl(const QueryGraph& graph, const QueryOptions& options,
                             const std::string* graph_digest);
   OptimizerOptions EffectiveOptions(const QueryOptions& options) const;
 
   /// Picks up the shared statistics and rebuilds cost/physical identity if
   /// the engine-wide stats version moved since this session last looked
-  /// (i.e. a commit or an explicit RefreshStats happened). Called on every query entry under the
-  /// TxnManager read gate, so derivation never races a commit.
+  /// (a commit or EngineHandle::RefreshStats). Called on every query entry
+  /// under the TxnManager read gate, so derivation never races a commit.
   void MaybeRefreshStats();
 
   /// Optimizes `graph` through the plan cache: a hit fills `*out` from the
@@ -382,7 +390,7 @@ class Session {
 
   std::shared_ptr<PlanCache> plan_cache_;
   std::shared_ptr<FeedbackRegistry> feedback_;
-  /// Fingerprint component cached once per RefreshStats (the database is
+  /// Fingerprint component cached once per stats refresh (the database is
   /// finalized, so the physical identity is stable between refreshes).
   std::string physical_identity_;
   /// The engine-wide (TxnManager) stats version this session's statistics

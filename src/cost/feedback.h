@@ -98,7 +98,7 @@ constexpr double kDefaultFeedbackAlpha = 0.5;
 /// one get a private registry). Thread-safe; all methods lock.
 ///
 /// Stats-versioned: every harvest and snapshot carries the session's
-/// engine-wide stats version. A commit or RefreshStats bumps that version,
+/// engine-wide stats version. A commit or EngineHandle::RefreshStats bumps that version,
 /// which atomically retires every factor and demotion note learned under the
 /// old statistics — corrections describe estimation error *relative to* a
 /// statistics snapshot, so they must die with it.

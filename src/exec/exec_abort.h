@@ -11,8 +11,8 @@ namespace internal {
 /// Aborts an in-flight evaluation (deadline, cancel or budget) from deep
 /// inside the operator tree. Thrown only on the coordinator thread — worker
 /// morsels never throw across the pool — and caught at the engine boundary
-/// (BatchEngine::Next, Executor::ExecuteInto), which converts it back into
-/// a Status. Not part of the public API.
+/// (BatchEngine::Next), which converts it back into a Status. Not part of
+/// the public API.
 struct ExecAbort {
   Status status;
   explicit ExecAbort(Status s) : status(std::move(s)) {}

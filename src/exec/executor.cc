@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <utility>
 
 #include "common/check.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "exec/batch_engine.h"
-#include "exec/row_batch.h"
+#include "exec/result_cursor.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace rodin {
 
@@ -177,48 +175,10 @@ std::unique_ptr<BatchEngine> Executor::MakeEngine(const PTNode& plan,
 
 Status Executor::ExecuteInto(const PTNode& plan, const ExecOptions& options,
                              Table* out) {
-  uint64_t span = 0;
-  if (tracer_ != nullptr) span = tracer_->Begin("execute", "exec");
-  out->rows.clear();
-  const SpillStats spill_before = spill_stats_;
-  std::unique_ptr<BatchEngine> engine = MakeEngine(plan, options);
-  out->schema = engine->schema();
-  RowBatch batch;
-  while (engine->Next(&batch)) {
-    for (Row& r : batch.rows) out->rows.push_back(std::move(r));
-  }
-  engine->Finalize();
-  const Status status = engine->status();
-  if (!status.ok()) out->rows.clear();
-  if (tracer_ != nullptr) {
-    tracer_->AddArg(span, "vm_chunks",
-                    StrFormat("%llu", static_cast<unsigned long long>(
-                                          engine->vm_chunks())));
-    tracer_->AddArg(span, "vm_instrs",
-                    StrFormat("%llu", static_cast<unsigned long long>(
-                                          engine->vm_instrs())));
-    tracer_->AddArg(span, "rows", StrFormat("%zu", out->rows.size()));
-    tracer_->AddArg(span, "measured_cost", MeasuredCost());
-    if (!status.ok()) tracer_->AddArg(span, "status", status.code_name());
-    if (spill_stats_.spills > spill_before.spills) {
-      tracer_->AddArg(
-          span, "spill_partitions",
-          StrFormat("%llu", static_cast<unsigned long long>(
-                                spill_stats_.partitions -
-                                spill_before.partitions)));
-      tracer_->AddArg(span, "spill_bytes",
-                      StrFormat("%llu", static_cast<unsigned long long>(
-                                            spill_stats_.bytes -
-                                            spill_before.bytes)));
-      tracer_->AddArg(span, "spill_passes",
-                      StrFormat("%llu", static_cast<unsigned long long>(
-                                            spill_stats_.passes -
-                                            spill_before.passes)));
-    }
-    tracer_->End(span);
-  }
-  EmitExecMetrics(out->rows.size());
-  return status;
+  ResultCursor cursor = ExecuteStream(plan, options);
+  *out = cursor.ToTable();
+  if (!cursor.ok()) out->rows.clear();
+  return cursor.status();
 }
 
 }  // namespace rodin

@@ -191,10 +191,10 @@ class Executor {
   Table Execute(const PTNode& plan);
   Table Execute(const PTNode& plan, const ExecOptions& options);
 
-  /// Evaluates `plan` into `*out`, reporting budget violations (kCancelled,
-  /// kDeadlineExceeded, kResourceExhausted) as a status instead of
-  /// swallowing them. On a non-OK status `*out` is
-  /// empty but the counters and page charges of the work actually performed
+  /// Evaluates `plan` into `*out` by draining ExecuteStream, reporting budget
+  /// violations (kCancelled, kDeadlineExceeded, kResourceExhausted) as a
+  /// status instead of swallowing them. On a non-OK status `*out` is empty
+  /// but the counters and page charges of the work actually performed
   /// remain — accounting stays exact for partial runs.
   Status ExecuteInto(const PTNode& plan, const ExecOptions& options,
                      Table* out);
@@ -227,7 +227,8 @@ class Executor {
   /// evaluation; off by default).
   void CollectOpStats(bool on) { collect_op_stats_ = on; }
 
-  /// Span sink for Execute() calls (null = no tracing).
+  /// Span sink: every stream opened while it is set records an "execute"
+  /// span in it (null = no tracing). See ResultCursor.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Profile of every node evaluated since the last reset, keyed by plan
@@ -245,7 +246,7 @@ class Executor {
 
   /// Builds the engine that evaluates `plan` under `options`, wired to this
   /// executor's counters, op stats, fix cache, spill stats and worker pool.
-  /// The one place ExecuteInto and ExecuteStream configure an engine.
+  /// ExecuteStream is its one caller.
   std::unique_ptr<BatchEngine> MakeEngine(const PTNode& plan,
                                           const ExecOptions& options);
 
@@ -256,8 +257,8 @@ class Executor {
   /// exec_threads must never destroy a pool already handed out.
   ThreadPool* PoolFor(size_t threads);
 
-  /// Bumps the process-wide rodin.exec.* metrics for one finished
-  /// evaluation (shared by Execute and finishing cursors).
+  /// Bumps the process-wide rodin.exec.* metrics for one finished cursor:
+  /// `rows` is what its root emitted, also when the run failed.
   void EmitExecMetrics(size_t rows);
 
   Database* db_;

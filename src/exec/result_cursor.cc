@@ -1,5 +1,6 @@
 #include "exec/result_cursor.h"
 
+#include <string>
 #include <utility>
 
 #include "exec/batch_engine.h"
@@ -31,7 +32,15 @@ struct ResultCursor::Impl {
   ExecCounters counters;
   double measured_cost = -1;
 
+  /// The executor's tracer when the stream opened, with the "execute" span
+  /// begun there and the spill activity it started from.
+  obs::Tracer* tracer = nullptr;
+  uint64_t execute_span = 0;
+  SpillStats spill_before;
+
   std::function<void(const Status&, bool)> on_finish;  // metrics publish etc.
+  obs::Tracer* trace_source = nullptr;  // finished into `trace` after on_finish
+  std::shared_ptr<const obs::Trace> trace;
 };
 
 ResultCursor::ResultCursor() : impl_(std::make_unique<Impl>()) {
@@ -74,24 +83,46 @@ double ResultCursor::measured_cost() const { return impl_->measured_cost; }
 const std::string& ResultCursor::plan_text() const {
   return impl_->plan_text;
 }
+std::shared_ptr<const obs::Trace> ResultCursor::trace() const {
+  return impl_->trace;
+}
 
 void ResultCursor::FinalizeAccounting() {
   Impl* im = impl_.get();
   if (im->finished) return;
   im->finished = true;
-  if (im->engine != nullptr) {
+  if (im->engine != nullptr) {  // set with `exec` by ExecuteStream
     im->engine->Finalize();
-    if (im->exec != nullptr) {
-      im->exec->EmitExecMetrics(im->engine->rows_emitted());
-    }
-  }
-  if (im->exec != nullptr) {
+    im->exec->EmitExecMetrics(im->engine->rows_emitted());
     im->counters = im->exec->counters();
     im->measured_cost = im->exec->MeasuredCost();
+  }
+  if (im->tracer != nullptr) {
+    obs::Tracer& tracer = *im->tracer;
+    const uint64_t span = im->execute_span;
+    tracer.AddArg(span, "vm_chunks", std::to_string(im->engine->vm_chunks()));
+    tracer.AddArg(span, "vm_instrs", std::to_string(im->engine->vm_instrs()));
+    tracer.AddArg(span, "rows", std::to_string(im->engine->rows_emitted()));
+    tracer.AddArg(span, "measured_cost", im->measured_cost);
+    if (!im->status.ok()) tracer.AddArg(span, "status", im->status.code_name());
+    const SpillStats& now = im->exec->spill_stats();
+    const SpillStats& was = im->spill_before;
+    if (now.spills > was.spills) {
+      tracer.AddArg(span, "spill_partitions",
+                    std::to_string(now.partitions - was.partitions));
+      tracer.AddArg(span, "spill_bytes", std::to_string(now.bytes - was.bytes));
+      tracer.AddArg(span, "spill_passes",
+                    std::to_string(now.passes - was.passes));
+    }
+    tracer.End(span);
   }
   if (im->on_finish) {
     im->on_finish(im->status, im->exhausted && im->status.ok());
     im->on_finish = nullptr;
+  }
+  if (im->trace_source != nullptr) {
+    im->trace = im->trace_source->Finish();
+    im->trace_source = nullptr;
   }
 }
 
@@ -166,12 +197,25 @@ void ResultCursor::set_on_finish(
   impl_->on_finish = std::move(hook);
 }
 
+void ResultCursor::set_trace_source(obs::Tracer* tracer) {
+  if (impl_->finished) {
+    impl_->trace = tracer->Finish();
+  } else {
+    impl_->trace_source = tracer;
+  }
+}
+
 // Defined here (not in executor.cc) because it needs ResultCursor::Impl.
 ResultCursor Executor::ExecuteStream(const PTNode& plan, ExecOptions options) {
   ResultCursor cursor;
   ResultCursor::Impl* im = cursor.impl_.get();
   im->exec = this;
   im->finished = false;
+  if (tracer_ != nullptr) {
+    im->tracer = tracer_;
+    im->execute_span = tracer_->Begin("execute", "exec");
+    im->spill_before = spill_stats_;
+  }
   im->engine = MakeEngine(plan, options);
   im->schema = im->engine->schema();
   return cursor;

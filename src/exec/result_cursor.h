@@ -8,6 +8,7 @@
 #include "common/status.h"
 #include "exec/executor.h"
 #include "exec/row_batch.h"
+#include "obs/trace.h"
 
 namespace rodin {
 
@@ -29,8 +30,11 @@ namespace rodin {
 /// count. Destroying a cursor early finalizes the accounting of the work
 /// done so far without draining the remaining rows.
 ///
-/// The executor (and the session, when the cursor came from
-/// Session::Query) must outlive the cursor. Cursors are move-only.
+/// An executor with a tracer records one "execute" span per cursor: it
+/// opens with the stream and closes, with the run's figures as arguments,
+/// when the cursor finishes. The executor and its tracer must outlive the
+/// cursor; a Session::Query cursor keeps its own executor and tracer alive.
+/// Cursors are move-only.
 class ResultCursor {
  public:
   ResultCursor();
@@ -75,6 +79,11 @@ class ResultCursor {
   /// PrintPT of the executed plan (set by Session::Query; empty otherwise).
   const std::string& plan_text() const;
 
+  /// The query's span trace (optimizer stages, execute, feedback), complete
+  /// once the cursor has finished. Null unless the cursor came from
+  /// Session::Query with QueryOptions::collect_trace, and before finish.
+  std::shared_ptr<const obs::Trace> trace() const;
+
  private:
   friend class Executor;
   friend class Session;
@@ -90,6 +99,10 @@ class ResultCursor {
   /// aborted cursor reports false, which is how Session's feedback harvest
   /// knows a cancelled cursor must contribute nothing.
   void set_on_finish(std::function<void(const Status& status, bool drained)> hook);
+  /// Finishes `tracer` into trace() after the finish hook has run, or at
+  /// once if the cursor is already finished. The tracer must live until
+  /// then (Session keeps it in the keepalive state).
+  void set_trace_source(obs::Tracer* tracer);
 
   /// Finalizes accounting for whatever has executed so far (no draining).
   void FinalizeAccounting();

@@ -3,11 +3,13 @@
 // a budget trip surfaces as the corresponding Status code in bounded time,
 // partially-read streaming cursors can be cancelled from another thread
 // (TSan target), a generous deadline changes nothing (anytime transformPT
-// determinism), and the buffer-pool budget degrades gracefully before the
-// hard kResourceExhausted edge.
+// determinism), the buffer-pool budget degrades gracefully before the
+// hard kResourceExhausted edge, and a commit refuses while a cursor streams
+// but waits for a running Run.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -359,6 +361,66 @@ TEST_F(LifecycleTest, CommitRefusedWhileCursorStreamsThenSucceeds) {
   const CommitResult ok = writer.Commit(txn);
   ASSERT_TRUE(ok.ok()) << ok.status.ToString();
   EXPECT_EQ(ok.ops_applied, 1u);
+}
+
+// The drained side of the same contract: Run holds the read gate for its
+// whole drain and never registers its cursor, so a commit issued while a
+// Run executes on another thread waits for it and then succeeds — never
+// kConflict — and the run answers from the pre-commit state. A method the
+// query calls parks the run mid-execution until the writer has issued its
+// commit. TSan target.
+TEST(LifecycleCommitTest, CommitDuringRunWaitsAndSucceeds) {
+  std::atomic<bool> armed{false};
+  std::atomic<bool> executing{false};
+  Schema schema;
+  ClassDef* item = schema.AddClass("Item");
+  schema.AddAttribute(item, {"v", schema.types().Int(), false, 0, "", ""});
+  schema.AddAttribute(item, {"probe", schema.types().Int(), true, 1.0, "", ""});
+  Database db(&schema);
+  for (int i = 0; i < 20; ++i) {
+    db.Set(db.NewObject("Item"), "v", Value::Int(i));
+  }
+  db.RegisterMethod("Item", "probe", [&](const Database& d, Oid oid) {
+    if (armed.exchange(false)) {
+      executing = true;
+      // Linger, so the writer's commit is issued while the run executes.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    return d.GetRaw(oid, "v");
+  });
+  db.Finalize(PhysicalConfig{});
+  const char* query = "select [v: x.v] from x in Item where x.probe >= 0";
+
+  Session reader(&db);
+  const QueryRun pre = reader.Run(query);
+  ASSERT_TRUE(pre.ok()) << pre.error();
+  ASSERT_EQ(pre.answer.rows.size(), 20u);
+
+  Session writer(&db);
+  uint64_t txn = 0;
+  ASSERT_TRUE(writer.Begin(&txn).ok());
+  MutationBatch mutation;
+  mutation.Insert("Item", {{"v", Value::Int(100)}});
+  ASSERT_TRUE(writer.Apply(txn, mutation).ok());
+
+  armed = true;
+  QueryRun during;
+  std::atomic<bool> returned{false};
+  std::thread run_thread([&] {
+    during = reader.Run(query);
+    returned = true;
+  });
+  while (!executing && !returned) std::this_thread::yield();
+  const CommitResult commit = writer.Commit(txn);
+  run_thread.join();
+
+  ASSERT_TRUE(executing.load());
+  ASSERT_TRUE(commit.ok()) << commit.status.ToString();
+  ASSERT_TRUE(during.ok()) << during.error();
+  EXPECT_EQ(Keys(during.answer), Keys(pre.answer));
+  const QueryRun post = reader.Run(query);
+  ASSERT_TRUE(post.ok()) << post.error();
+  EXPECT_EQ(post.answer.rows.size(), 21u);
 }
 
 // An abandoned (destroyed-early) cursor must release the gate too — early

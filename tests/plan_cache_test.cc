@@ -2,11 +2,12 @@
 // bit-identical to a cold optimize-and-run — same rows in the same order,
 // every ExecCounters field, and MeasuredCost() — over the paper's Figure 3
 // query and the randomized SPJ/recursive/closure queries of the exec
-// differential suite. Plus the correctness rules: RefreshStats and
-// physical-schema changes invalidate (the fingerprint separates ablated
-// layouts even in a shared cache), truncated optimizations are never
-// cached, LRU eviction under a tiny capacity, and the PreparedQuery fast
-// path.
+// differential suite. The same corpus checks that Run and a drained Query
+// (one query path) agree, feedback off and on. Plus the correctness rules:
+// a stats refresh and physical-schema changes invalidate (the fingerprint
+// separates ablated layouts even in a shared cache), truncated
+// optimizations are never cached, LRU eviction under a tiny capacity, and
+// the PreparedQuery fast path.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +28,7 @@
 #include "query/graph_queries.h"
 #include "query/paper_queries.h"
 #include "query/parser.h"
+#include "support/query_paths.h"
 #include "support/reference_exec.h"
 
 namespace rodin {
@@ -110,6 +112,7 @@ TEST_F(PlanCacheDifferentialTest, Fig3CachedRunIsBitIdentical) {
   const ParseResult parsed = ParseQuery(kFig3Text, g.db->schema());
   ASSERT_TRUE(parsed.ok()) << parsed.status.ToString();
   ExpectCachedRunIdentical(&session, parsed.graph, "fig3");
+  ExpectDrainedQueryMatchesRun(g.db.get(), OptimizerOptions{}, parsed.graph);
 
   const PlanCacheStats stats = session.plan_cache().stats();
   EXPECT_EQ(stats.inserts, 1u);
@@ -233,11 +236,13 @@ TEST_P(PlanCacheSeedTest, MusicSpjAndRecursive) {
     const QueryGraph spj = RandomSpjQuery(&rng, *g.schema);
     ExpectCachedRunIdentical(&session, spj,
                              "spj round " + std::to_string(round));
+    ExpectDrainedQueryMatchesRun(g.db.get(), CostBasedOptions(seed), spj);
   }
   for (int round = 0; round < 2; ++round) {
     const QueryGraph rec = RandomRecursiveQuery(&rng, *g.schema);
     ExpectCachedRunIdentical(&session, rec,
                              "recursive round " + std::to_string(round));
+    ExpectDrainedQueryMatchesRun(g.db.get(), CostBasedOptions(seed), rec);
   }
 }
 
@@ -256,6 +261,7 @@ TEST_P(PlanCacheSeedTest, GraphClosure) {
 
   const QueryGraph q = GraphClosureQuery(config, *g.schema);
   ExpectCachedRunIdentical(&session, q, "graph closure");
+  ExpectDrainedQueryMatchesRun(g.db.get(), CostBasedOptions(seed), q);
 }
 
 // 5 seeds x (3 SPJ + 2 recursive) + 5 graph closures = 30 random queries,
@@ -279,7 +285,7 @@ TEST_F(PlanCacheTest, RefreshStatsInvalidatesEntries) {
   const QueryRun hit = session.Run(kFig3Text, cold);
   ASSERT_TRUE(hit.plan_cached);
 
-  session.RefreshStats();
+  session.txn().BumpStatsVersion();  // what EngineHandle::RefreshStats does
 
   const QueryRun after = session.Run(kFig3Text, cold);
   ASSERT_TRUE(after.ok()) << after.error();

@@ -13,8 +13,11 @@
 #include "api/session.h"
 #include "cost/fig7.h"
 #include "datagen/music_gen.h"
+#include "obs/config.h"
+#include "obs/trace.h"
 #include "optimizer/baseline.h"
 #include "query/paper_queries.h"
+#include "support/query_paths.h"
 
 namespace rodin {
 namespace {
@@ -41,9 +44,7 @@ TEST_F(SessionTest, RunEndToEnd) {
   EXPECT_GE(run.measured_cost, 0);
 }
 
-TEST_F(SessionTest, RecursiveTextQuery) {
-  Session session(g_.db.get());
-  const QueryRun run = session.Run(R"(
+const char kInfluencerText[] = R"(
 relation Influencer includes
   (select [master: x.master, disciple: x, gen: 1] from x in Composer)
   union
@@ -51,8 +52,12 @@ relation Influencer includes
    from i in Influencer, x in Composer where i.disciple = x.master)
 
 select [n: j.disciple.name] from j in Influencer where j.gen >= 5
-)",
-                                   QueryOptions{.cold = true});
+)";
+
+TEST_F(SessionTest, RecursiveTextQuery) {
+  Session session(g_.db.get());
+  const QueryRun run =
+      session.Run(kInfluencerText, QueryOptions{.cold = true});
   ASSERT_TRUE(run.ok()) << run.error();
   EXPECT_FALSE(run.answer.rows.empty());
   EXPECT_GT(run.counters.fix_iterations, 0u);
@@ -193,17 +198,70 @@ TEST_F(SessionTest, ExplicitZeroKnobsAreInvalidArguments) {
   EXPECT_TRUE(session.Run(kQuery, tuned).ok());
 }
 
-TEST_F(SessionTest, QueryRejectsCollectTrace) {
+// Run is the cursor Query returns, drained, so a traced cursor carries the
+// span tree a traced Run does: optimizer stages, execute, and with feedback
+// on the feedback.apply / feedback.harvest spans. Each side has its own
+// session (own plan cache and feedback registry), so both optimize.
+TEST_F(SessionTest, TracedCursorSpanTreeMatchesRun) {
+  for (const bool feedback : {false, true}) {
+    SCOPED_TRACE(feedback ? "feedback on" : "feedback off");
+    QueryOptions options;
+    options.cold = true;
+    options.collect_trace = true;
+    options.feedback.enabled = feedback;
+    Session run_side(g_.db.get());
+    Session query_side(g_.db.get());
+    const QueryRun run = run_side.Run(kInfluencerText, options);
+    ASSERT_TRUE(run.ok()) << run.error();
+    ASSERT_NE(run.trace, nullptr);
+
+    ResultCursor cursor = query_side.Query(kInfluencerText, options);
+    ASSERT_TRUE(cursor.ok()) << cursor.error();
+    RowBatch batch;
+    ASSERT_TRUE(cursor.Next(&batch));
+    EXPECT_EQ(cursor.trace(), nullptr);  // complete only once finished
+    cursor.Finish();
+    ASSERT_TRUE(cursor.ok()) << cursor.error();
+    ASSERT_NE(cursor.trace(), nullptr);
+    EXPECT_EQ(SpanTree(*cursor.trace()), SpanTree(*run.trace));
+
+    if (!obs::kObsEnabled) continue;  // the tracer is compiled out
+    for (const obs::Trace* trace : {run.trace.get(), cursor.trace().get()}) {
+      EXPECT_TRUE(trace->HasSpan("transformPT"));
+      EXPECT_TRUE(trace->HasSpan("execute"));
+      EXPECT_EQ(trace->HasSpan("feedback.apply"), feedback);
+      EXPECT_EQ(trace->HasSpan("feedback.harvest"), feedback);
+    }
+  }
+}
+
+// explain_only means the same on both entry points: optimize and execute
+// nothing. The cursor comes back ok and already finished with Run's plan
+// text, yields no rows, reports no measurement, and the buffer pool sees
+// no fetch.
+TEST_F(SessionTest, ExplainOnlyQueryExecutesNothing) {
   Session session(g_.db.get());
-  QueryOptions options;
-  options.collect_trace = true;
-  ResultCursor cursor =
-      session.Query(R"(select [n: x.name] from x in Composer)", options);
-  EXPECT_FALSE(cursor.ok());
-  EXPECT_EQ(cursor.status().code, Status::Code::kInvalidArgument);
-  // The same flag still works on the non-streaming paths.
-  EXPECT_TRUE(
-      session.Run(R"(select [n: x.name] from x in Composer)", options).ok());
+  QueryOptions plan_only;
+  plan_only.explain_only = true;
+  const uint64_t fetches = g_.db->buffer_pool().stats().fetches;
+  const QueryRun run = session.Run(kInfluencerText, plan_only);
+  ASSERT_TRUE(run.ok()) << run.error();
+  EXPECT_TRUE(run.answer.rows.empty());
+  EXPECT_EQ(run.measured_cost, -1);
+
+  ResultCursor cursor = session.Query(kInfluencerText, plan_only);
+  ASSERT_TRUE(cursor.ok()) << cursor.error();
+  EXPECT_TRUE(cursor.finished());
+  EXPECT_FALSE(cursor.plan_text().empty());
+  EXPECT_EQ(cursor.plan_text(), run.plan_text);
+  RowBatch batch;
+  EXPECT_FALSE(cursor.Next(&batch));
+  EXPECT_TRUE(batch.rows.empty());
+  EXPECT_TRUE(cursor.ok());
+  EXPECT_EQ(cursor.measured_cost(), -1);
+  EXPECT_EQ(cursor.counters().rows_produced, 0u);
+  EXPECT_EQ(cursor.counters().predicate_evals, 0u);
+  EXPECT_EQ(g_.db->buffer_pool().stats().fetches, fetches);
 }
 
 TEST_F(SessionTest, EmptyClassQueriesReturnEmpty) {

@@ -267,17 +267,24 @@ TEST(SpillLedgerTest, CumulativeLiveTempPagesTripAcrossAllocations) {
     cumulative_trip = true;
     // The same budget with spilling on must complete with the unlimited
     // answer and cost (the ledger never clamps the buffer pool), and must
-    // really have spilled.
-    obs::Counter* spill_metric =
-        obs::MetricsRegistry::Global().GetCounter("rodin.spill.spills");
-    const uint64_t spills_before = spill_metric->value();
+    // really have spilled. The evidence is an executor's own spill stats,
+    // which exist with observability compiled out too: the session's
+    // executor is internal, so the chosen plan runs again on one.
     QueryOptions on = off;
     on.query.spill = true;
     const QueryRun spilled = session.Run(kTwoClosuresText, on);
     ASSERT_TRUE(spilled.ok()) << spilled.status.ToString();
     EXPECT_EQ(Keys(spilled.answer), Keys(base.answer));
     EXPECT_EQ(spilled.measured_cost, base.measured_cost);
-    EXPECT_GT(spill_metric->value(), spills_before);
+    ExecOptions exec_options;
+    exec_options.query = &on.query;
+    Executor exec(g.db.get());
+    Table replayed;
+    ASSERT_TRUE(
+        exec.ExecuteInto(*spilled.optimized.plan, exec_options, &replayed)
+            .ok());
+    EXPECT_EQ(Keys(replayed), Keys(base.answer));
+    EXPECT_GT(exec.spill_stats().spills, 0u);
     break;
   }
   EXPECT_TRUE(cumulative_trip)

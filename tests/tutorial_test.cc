@@ -15,6 +15,7 @@
 #include "cost/fig7.h"
 #include "optimizer/baseline.h"
 #include "query/parser.h"
+#include "support/query_paths.h"
 #include "support/reference_exec.h"
 
 namespace rodin {
@@ -115,7 +116,8 @@ TEST_F(TutorialTest, SymbolicTableDerivesForTheTutorialPlan) {
 
 TEST_F(TutorialTest, StreamingSectionWorksAsWritten) {
   // Mirrors "Streaming results and parallel execution": Query() with
-  // exec_threads serves the same answer and accounting as Run().
+  // exec_threads serves the same answer and accounting as Run(), because
+  // Run is a Query cursor drained.
   Session session(db_.get());
   const QueryRun run = session.Run(kQuery, QueryOptions{.cold = true});
   ASSERT_TRUE(run.ok()) << run.error();
@@ -126,15 +128,31 @@ TEST_F(TutorialTest, StreamingSectionWorksAsWritten) {
   ro.batch_rows = 1024;
   ResultCursor cur = session.Query(kQuery, ro);
   ASSERT_TRUE(cur.ok()) << cur.error();
-  size_t rows = 0;
+  Table streamed;
   RowBatch batch;
-  while (cur.Next(&batch)) rows += batch.size();
-  EXPECT_EQ(rows, run.answer.rows.size());
+  while (cur.Next(&batch)) {
+    for (Row& r : batch.rows) streamed.rows.push_back(std::move(r));
+  }
+  EXPECT_EQ(streamed.rows, run.answer.rows);
+  ExpectSameCounters(cur.counters(), run.counters);
   EXPECT_EQ(cur.measured_cost(), run.measured_cost);
-  EXPECT_EQ(cur.counters().predicate_evals, run.counters.predicate_evals);
+  EXPECT_EQ(cur.plan_text(), run.plan_text);
 
   Table all = session.Query(kQuery, ro).ToTable();
   EXPECT_EQ(all.rows.size(), run.answer.rows.size());
+
+  // The same over the tutorial's point queries, feedback off and on, with
+  // decisions and feedback compared too (the recursive query above is too
+  // slow for that many rounds).
+  const char* const texts[] = {
+      R"(select [n: x.pname] from x in Package where x.pname = "pkg3")",
+      R"(select [n: x.pname] from x in Package where x.risk_score > 8)"};
+  for (const char* text : texts) {
+    SCOPED_TRACE(text);
+    const ParseResult parsed = ParseQuery(text, schema_);
+    ASSERT_TRUE(parsed.ok()) << parsed.status.ToString();
+    ExpectDrainedQueryMatchesRun(db_.get(), OptimizerOptions{}, parsed.graph);
+  }
 }
 
 TEST_F(TutorialTest, CompiledEvalSectionWorksAsWritten) {
@@ -190,11 +208,19 @@ TEST_F(TutorialTest, PreparedQueriesSectionWorksAsWritten) {
   zero.exec_threads = 0;
   EXPECT_EQ(session.Run(kQuery, zero).status.code,
             Status::Code::kInvalidArgument);
-  // ...and collect_trace is rejected on the streaming path.
+  // ...and collect_trace works on the streaming path: once the cursor
+  // finishes, its trace holds the spans a traced Run records (both
+  // optimize here: the cache is bypassed).
   QueryOptions traced;
   traced.collect_trace = true;
-  EXPECT_EQ(session.Query(kQuery, traced).status().code,
-            Status::Code::kInvalidArgument);
+  traced.bypass_plan_cache = true;
+  const QueryRun traced_run = session.Run(kQuery, traced);
+  ASSERT_TRUE(traced_run.ok()) << traced_run.error();
+  ResultCursor traced_cursor = session.Query(kQuery, traced);
+  traced_cursor.Finish();
+  ASSERT_TRUE(traced_cursor.ok()) << traced_cursor.error();
+  ASSERT_NE(traced_cursor.trace(), nullptr);
+  EXPECT_EQ(SpanTree(*traced_cursor.trace()), SpanTree(*traced_run.trace));
 }
 
 TEST_F(TutorialTest, BudgetsAndCancellationSectionWorksAsWritten) {
