@@ -269,9 +269,7 @@ bool Session::OptimizeThroughCache(const QueryGraph& graph,
   // Budget-aware costing: an explicit per-query memory budget enters the
   // cost params (the spill penalty term) and with them the plan-cache
   // fingerprint, so budgeted and unbudgeted runs of one query never share
-  // a cached plan. The spill-budget ledger override deliberately does NOT
-  // enter: it only forces spilling, and perturbing plan choice would break
-  // the bit-identity it exists to exercise.
+  // a cached plan.
   CostParams effective_params = cost_params_;
   effective_params.memory_budget_pages = options.query.memory_budget_pages;
   std::string key;

@@ -49,29 +49,15 @@ struct QueryContext {
   /// Cancellation handle; keep a copy and RequestCancel() from any thread.
   CancelToken cancel;
 
-  /// Per-query resident-page budget for the buffer pool. The pool degrades
-  /// gracefully (its effective LRU capacity is clamped to the budget, so
-  /// evicted pages are simply re-charged as misses — accounting stays
-  /// exact). The same figure budgets the query's *cumulative live* temp
-  /// pages: an operator working set that would exceed the remainder spills
-  /// to disk (when `spill` is on) or returns a typed kResourceExhausted
-  /// (when it is off); only a single row too large for the whole budget is
-  /// refused unconditionally — no partitioning can split one row.
-  /// 0 = unlimited.
+  /// Per-query memory budget: a bound on the query's *cumulative live*
+  /// temp pages (the temp-page ledger). An operator working set that would
+  /// exceed the remainder spills to disk; spilling never changes rows, row
+  /// order, ExecCounters or MeasuredCost — only where row bytes live. The
+  /// only refusal is a single row wider than the whole budget (a typed
+  /// kResourceExhausted; no partitioning can split one row). The buffer
+  /// pool only counts the paper's page I/O and holds no page contents, so
+  /// the budget never touches it. 0 = unlimited.
   size_t memory_budget_pages = 0;
-
-  /// Over-budget behaviour above for this run: spill (the default) or fail
-  /// fast. Spilling never changes rows, row order, ExecCounters or
-  /// MeasuredCost — only where row bytes live.
-  bool spill = true;
-
-  /// Temp-page ledger budget override for the spill decision only. Unlike
-  /// memory_budget_pages it does NOT clamp the buffer pool's LRU capacity,
-  /// so accounting stays bit-identical to an unlimited run while spilling
-  /// is forced — the knob tests use to force one query's spill paths.
-  /// Precedence: this value when nonzero, else memory_budget_pages, else
-  /// unlimited. 0 = inherit memory_budget_pages.
-  size_t spill_budget_pages = 0;
 
   /// Starts the deadline clock. Called once per run by Session;
   /// a context that was never armed has no deadline even if deadline_ms is

@@ -27,12 +27,14 @@ struct CostParams {
   /// cost_model.cc), and fixpoint iterations remain sequential barriers.
   unsigned parallel_degree = 1;
 
-  /// Spill costing: when the query's memory budget is known at planning
-  /// time (memory_budget_pages > 0), a materialized working set larger
-  /// than the budget pays an extra kSpillReadWrite * pr per page
-  /// (cost_model.cc) — the write-out plus read-back of the spill machinery —
-  /// steering the optimizer toward plans whose temps stay resident. A zero budget (the default) adds nothing,
-  /// so estimates for unbudgeted queries are unchanged.
+  /// Spill costing: when the query's memory budget (QueryContext::
+  /// memory_budget_pages, the temp-page ledger bound) is known at planning
+  /// time, a materialized working set larger than the budget pays an extra
+  /// kSpillReadWrite * pr per page (cost_model.cc) — the write-out plus
+  /// read-back of the spill machinery — steering the optimizer toward plans
+  /// whose temps stay in memory. The page I/O the plan is measured by is
+  /// the same either way. A zero budget (the default) adds nothing, so
+  /// estimates for unbudgeted queries are unchanged.
   size_t memory_budget_pages = 0;
 };
 

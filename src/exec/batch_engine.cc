@@ -76,10 +76,10 @@ struct ExecCtx {
   const QueryContext* query = nullptr;
 
   /// Spill policy (see BatchEngine::Config): over-budget temp working sets
-  /// move their row bytes to disk instead of aborting. The ledger tracks
-  /// the query's *cumulative live* temp pages; spilled temps are not
-  /// charged against it (their bytes are on disk, tracked in `spill`).
-  bool spill_enabled = true;
+  /// move their row bytes to disk. The ledger tracks the query's
+  /// *cumulative live* temp pages against query->memory_budget_pages
+  /// (0 = unlimited); spilled temps are not charged against it (their
+  /// bytes are on disk, tracked in `spill`).
   size_t ledger_budget = 0;
   size_t live_temp_pages = 0;
   SpillStats spill;
@@ -111,11 +111,11 @@ struct ExecCtx {
   /// AllocateTempFile with the cumulative temp-page ledger check. The
   /// page-id allocation is identical whether or not the temp spills, so
   /// ChargeTempScan sequences — and with them MeasuredCost — are
-  /// bit-identical spill-on vs all-in-memory. Over the remaining budget:
-  /// spill (sets *spilled; caller moves the row bytes to disk and skips the
-  /// ledger charge) or throw a typed kResourceExhausted with the tripping
-  /// operator packed into Status::detail. Only a single row too large for
-  /// the whole budget is refused unconditionally.
+  /// bit-identical spilled vs all-in-memory. Over the remaining budget the
+  /// temp spills (sets *spilled; caller moves the row bytes to disk and
+  /// skips the ledger charge). Only a single row too large for the whole
+  /// budget is refused, with a typed kResourceExhausted carrying the
+  /// tripping operator in Status::detail.
   TempFile AllocTemp(size_t rows, size_t ncols, SpillOpTag tag,
                      bool* spilled = nullptr) {
     if (spilled != nullptr) *spilled = false;
@@ -124,15 +124,9 @@ struct ExecCtx {
     const uint64_t row_pages = TempRowPages(ncols);
     if (row_pages > ledger_budget) {
       throw internal::ExecAbort(MakeResourceExhausted(
-          tag, row_pages, ledger_budget, live_temp_pages,
-          /*row_refusal=*/true));
+          tag, row_pages, ledger_budget, live_temp_pages));
     }
     if (live_temp_pages + temp.pages > ledger_budget) {
-      if (!spill_enabled) {
-        throw internal::ExecAbort(MakeResourceExhausted(
-            tag, temp.pages, ledger_budget, live_temp_pages,
-            /*row_refusal=*/false));
-      }
       ++spill.spills;
       if (spilled != nullptr) *spilled = true;
       return temp;
@@ -223,11 +217,9 @@ std::shared_ptr<SpillFile> SpillRows(ExecCtx* ctx,
 
 /// Pre-dedup accumulation buffer for Proj/Union. In memory it reproduces
 /// Table::Dedup() exactly; when the buffered working set outgrows the
-/// remaining ledger budget (and spilling is on) it drains sorted runs to
-/// disk and K-way merge-uniques them at Finish — the merge emits the same
-/// sorted duplicate-free sequence sort+unique would. With spilling off the
-/// buffer never spills (dedup was never budget-checked, so no new refusal
-/// sites appear).
+/// remaining ledger budget it drains sorted runs to disk and K-way
+/// merge-uniques them at Finish — the merge emits the same sorted
+/// duplicate-free sequence sort+unique would.
 class DedupBuffer {
  public:
   DedupBuffer(ExecCtx* ctx, RowSchema schema) : ctx_(ctx) {
@@ -307,7 +299,7 @@ class DedupBuffer {
   }
 
   bool OverBudget() const {
-    if (ctx_->ledger_budget == 0 || !ctx_->spill_enabled) return false;
+    if (ctx_->ledger_budget == 0) return false;
     const uint64_t ncols =
         std::max<uint64_t>(1, out_.schema.cols.size());
     const uint64_t pages =
@@ -1429,8 +1421,8 @@ BatchEngine::BatchEngine(const Config& config, const PTNode& plan)
   ctx.pool = config.pool;
   ctx.fix_cache = config.fix_cache;
   ctx.query = config.query;
-  ctx.spill_enabled = config.spill_enabled;
-  ctx.ledger_budget = config.spill_budget_pages;
+  ctx.ledger_budget =
+      config.query != nullptr ? config.query->memory_budget_pages : 0;
   impl_->root = BuildOp(&ctx, &plan);
 }
 
@@ -1483,21 +1475,14 @@ void BatchEngine::Finalize() {
   ExecCtx& ctx = impl_->ctx;
   // Canonical replay: the pool sees the exact charge sequence a whole-table
   // bottom-up evaluator would have produced, so LRU hits and misses — and
-  // with them MeasuredCost() — are independent of batching and threading.
-  // The per-query memory budget applies exactly here, where the pool is
-  // actually touched: with a budget the effective LRU capacity is clamped,
-  // so over-budget access patterns degrade to extra (exactly accounted)
-  // misses instead of failing.
-  const size_t budget =
-      ctx.query != nullptr ? ctx.query->memory_budget_pages : 0;
+  // with them MeasuredCost() — are independent of batching, threading and
+  // spilling.
   {
     // Declares the replay to the pool so a concurrent resident-set
     // snapshot/restore (TxnManager's commit) trips the debug guard instead
     // of silently corrupting the accounting.
     BufferPool::ActiveFetchScope fetch_scope(&ctx.db->buffer_pool());
-    if (budget > 0) ctx.db->buffer_pool().SetQueryBudget(budget);
     impl_->root->Replay(&ctx.db->buffer_pool());
-    if (budget > 0) ctx.db->buffer_pool().ClearQueryBudget();
   }
   if (ctx.collect_op_stats) {
     impl_->root->Harvest();

@@ -47,16 +47,13 @@ class BatchEngine {
     uint64_t* method_cost_fp = nullptr;
     /// The run's lifecycle budget (see ExecOptions::query). Polled on the
     /// coordinator thread at batch and fixpoint-iteration boundaries, so a
-    /// streaming cursor can be cancelled mid-read from another thread.
+    /// streaming cursor can be cancelled mid-read from another thread. Its
+    /// memory_budget_pages bounds the temp-page ledger: over-budget temp
+    /// working sets spill to disk. Spilling moves row *bytes* only: the
+    /// page-charge logs, ExecCounters, OpStats and MeasuredCost stay
+    /// bit-identical to an all-in-memory run (spill I/O is tracked
+    /// separately in spill_stats).
     const QueryContext* query = nullptr;
-    /// Over-budget temp working sets spill to disk instead of tripping
-    /// kResourceExhausted. Spilling moves row *bytes* only: the page-charge
-    /// logs, ExecCounters, OpStats and MeasuredCost stay bit-identical to an
-    /// all-in-memory run (spill I/O is tracked separately in spill_stats).
-    bool spill_enabled = true;
-    /// The temp-page ledger budget the spill decision checks against
-    /// (already resolved through EffectiveSpillBudgetPages). 0 = unlimited.
-    size_t spill_budget_pages = 0;
     /// Finalize() merges this engine's spill activity here (Executor-owned).
     SpillStats* spill_stats = nullptr;
   };

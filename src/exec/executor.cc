@@ -99,23 +99,14 @@ const char* SpillOpName(SpillOpTag tag) {
 }  // namespace
 
 Status MakeResourceExhausted(SpillOpTag tag, uint64_t requested,
-                             uint64_t budget, uint64_t live, bool row_refusal) {
+                             uint64_t budget, uint64_t live) {
   const uint64_t remaining = budget > live ? budget - live : 0;
   Status s = Status::Error(
       Status::Code::kResourceExhausted,
-      row_refusal
-          ? StrFormat("%s: a single row needs %llu page(s), more than the "
-                      "whole %llu-page budget — no partitioning can split "
-                      "one row",
-                      SpillOpName(tag),
-                      static_cast<unsigned long long>(requested),
-                      static_cast<unsigned long long>(budget))
-          : StrFormat("%s: temp file of %llu pages exceeds the remaining "
-                      "budget (%llu of %llu pages live) and spilling is off",
-                      SpillOpName(tag),
-                      static_cast<unsigned long long>(requested),
-                      static_cast<unsigned long long>(live),
-                      static_cast<unsigned long long>(budget)));
+      StrFormat("%s: a single row needs %llu page(s), more than the whole "
+                "%llu-page budget — no partitioning can split one row",
+                SpillOpName(tag), static_cast<unsigned long long>(requested),
+                static_cast<unsigned long long>(budget)));
   s.detail = PackResourceDetail(tag, requested, remaining);
   return s;
 }
@@ -125,12 +116,6 @@ Status MakeResourceExhausted(SpillOpTag tag, uint64_t requested,
 uint64_t TempRowPages(size_t ncols) {
   const uint64_t bytes = 16 * std::max<size_t>(1, ncols);
   return std::max<uint64_t>(1, (bytes + kPageSizeBytes - 1) / kPageSizeBytes);
-}
-
-size_t EffectiveSpillBudgetPages(const QueryContext* query) {
-  if (query == nullptr) return 0;
-  return query->spill_budget_pages > 0 ? query->spill_budget_pages
-                                       : query->memory_budget_pages;
 }
 
 void Executor::EmitExecMetrics(size_t rows) {
@@ -167,8 +152,6 @@ std::unique_ptr<BatchEngine> Executor::MakeEngine(const PTNode& plan,
   cfg.counters = &counters_;
   cfg.method_cost_fp = &method_cost_fp_;
   cfg.query = options.query;
-  cfg.spill_enabled = options.query == nullptr || options.query->spill;
-  cfg.spill_budget_pages = EffectiveSpillBudgetPages(options.query);
   cfg.spill_stats = &spill_stats_;
   return std::make_unique<BatchEngine>(cfg, plan);
 }

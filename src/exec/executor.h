@@ -47,10 +47,6 @@ struct OpStats {
   double micros = 0;    // coordinator wall time spent in the operator
 };
 
-/// Resolves the run's effective temp-page ledger budget (0 = unlimited):
-/// query->spill_budget_pages when nonzero, else query->memory_budget_pages.
-size_t EffectiveSpillBudgetPages(const QueryContext* query);
-
 /// Which operator working set hit the budget. Carried in the
 /// kResourceExhausted Status::detail (see PackResourceDetail) and used to
 /// label spill metrics.
@@ -94,7 +90,7 @@ constexpr uint64_t ResourceDetailRemaining(uint64_t detail) {
 
 /// Aggregate spill activity of one executor since its last reset. Fed into
 /// the rodin.spill.* metrics and the "execute" span; deliberately separate
-/// from ExecCounters / MeasuredCost, which stay bit-identical spill-on vs.
+/// from ExecCounters / MeasuredCost, which stay bit-identical spilled vs.
 /// all-in-memory (docs/ROBUSTNESS.md).
 struct SpillStats {
   uint64_t spills = 0;      // operator working sets that overflowed to disk
@@ -112,15 +108,15 @@ struct SpillStats {
 
 class SpillFile;
 
-/// Builds the typed kResourceExhausted status with the packed detail above.
-/// `row_refusal` selects the single-oversized-row message (the unconditional
-/// refusal — no partitioning can split one row).
+/// Builds the typed kResourceExhausted status, with the packed detail above,
+/// for a single row of `requested` pages that is wider than the whole
+/// `budget` — the only refusal: no partitioning can split one row.
 Status MakeResourceExhausted(SpillOpTag tag, uint64_t requested,
-                             uint64_t budget, uint64_t live, bool row_refusal);
+                             uint64_t budget, uint64_t live);
 
 /// Pages one temp-file row of `ncols` columns occupies (the 16-bytes-per-
 /// value model of AllocateTempFile). A row wider than the whole budget is
-/// refused even with spilling on.
+/// refused.
 uint64_t TempRowPages(size_t ncols);
 
 /// Execution configuration. The defaults give sequential (single-thread)
@@ -158,7 +154,7 @@ void ChargeTempScan(const TempFile& temp, PageCharger* charger);
 /// lives — but the row payload is either in memory (`result`) or, when the
 /// insert overflowed the page budget, in a spill file. The caching decision
 /// itself is budget-independent so that cache-hit charges stay bit-identical
-/// spill-on vs. unlimited.
+/// spilled vs. unlimited.
 struct FixCacheEntry {
   Table result;                      // empty when spilled
   TempFile temp;

@@ -47,25 +47,14 @@ constexpr uint8_t kTagRendered = 5;
 constexpr uint8_t kTagRef = 6;
 constexpr uint8_t kTagSet = 7;
 
-// WireQueryOptions flag bits.
+// WireQueryOptions flag bits: one bit per boolean. The tuning flag gates a
+// two-F64 tail (drift threshold, EWMA alpha) appended after the flags byte.
+// Any other bit makes the frame malformed.
 constexpr uint8_t kFlagBypassPlanCache = 1u << 0;
-// Bits 1 and 2 once carried a compiled-eval override. Compiled eval is the
-// only evaluator now: encoders leave the bits clear, decoders ignore them.
-// Adaptive feedback. Encoders always set kFlagFeedbackSet and carry the
-// value in kFlagFeedbackOn; a clear kFlagFeedbackSet (an older client's
-// "inherit") decodes as off. The tuning flag gates a two-F64 tail (drift
-// threshold, EWMA alpha) appended after the flags byte.
-constexpr uint8_t kFlagFeedbackSet = 1u << 3;
 constexpr uint8_t kFlagFeedbackOn = 1u << 4;
 constexpr uint8_t kFlagFeedbackTuning = 1u << 5;
-// Spill. Gates a tail (after the feedback tuning tail, when both are
-// present): u8 state (1 = off, 2 = on) + u64 spill-ledger budget pages.
-// Encoders write the tail only when spill is off or a budget is set. An
-// absent tail and state 0 (an older client's "inherit") decode as on; any
-// other state is a malformed frame.
-constexpr uint8_t kFlagSpill = 1u << 6;
-constexpr uint8_t kSpillOff = 1;
-constexpr uint8_t kSpillOn = 2;
+constexpr uint8_t kDefinedFlags =
+    kFlagBypassPlanCache | kFlagFeedbackOn | kFlagFeedbackTuning;
 
 }  // namespace
 
@@ -164,21 +153,15 @@ void WireQueryOptions::Encode(PayloadWriter* w) const {
   w->U64(memory_budget_pages);
   w->U32(exec_threads);
   w->U32(batch_rows);
-  uint8_t flags = kFlagFeedbackSet;
+  uint8_t flags = 0;
   if (bypass_plan_cache) flags |= kFlagBypassPlanCache;
   if (feedback) flags |= kFlagFeedbackOn;
   const bool tuning = feedback_drift != 0 || feedback_alpha != 0;
   if (tuning) flags |= kFlagFeedbackTuning;
-  const bool spill_block = !spill || spill_budget_pages != 0;
-  if (spill_block) flags |= kFlagSpill;
   w->U8(flags);
   if (tuning) {
     w->F64(feedback_drift);
     w->F64(feedback_alpha);
-  }
-  if (spill_block) {
-    w->U8(spill ? kSpillOn : kSpillOff);
-    w->U64(spill_budget_pages);
   }
 }
 
@@ -188,21 +171,13 @@ bool WireQueryOptions::Decode(PayloadReader* r) {
       !r->U32(&exec_threads) || !r->U32(&batch_rows) || !r->U8(&flags)) {
     return false;
   }
+  if ((flags & ~kDefinedFlags) != 0) return false;
   bypass_plan_cache = (flags & kFlagBypassPlanCache) != 0;
-  feedback = (flags & kFlagFeedbackSet) != 0 &&
-             (flags & kFlagFeedbackOn) != 0;
+  feedback = (flags & kFlagFeedbackOn) != 0;
   feedback_drift = 0;
   feedback_alpha = 0;
   if ((flags & kFlagFeedbackTuning) != 0) {
     if (!r->F64(&feedback_drift) || !r->F64(&feedback_alpha)) return false;
-  }
-  spill = true;
-  spill_budget_pages = 0;
-  if ((flags & kFlagSpill) != 0) {
-    uint8_t state;
-    if (!r->U8(&state) || !r->U64(&spill_budget_pages)) return false;
-    if (state > kSpillOn) return false;
-    spill = state != kSpillOff;
   }
   return true;
 }
@@ -217,9 +192,6 @@ QueryOptions WireQueryOptions::ToQueryOptions() const {
   options.feedback.enabled = feedback;
   options.feedback.drift_threshold = feedback_drift;
   options.feedback.ewma_alpha = feedback_alpha;
-  options.query.spill = spill;
-  options.query.spill_budget_pages =
-      static_cast<size_t>(spill_budget_pages);
   return options;
 }
 
@@ -237,8 +209,6 @@ WireQueryOptions WireQueryOptions::FromQueryOptions(
   wire.feedback = options.feedback.enabled;
   wire.feedback_drift = options.feedback.drift_threshold;
   wire.feedback_alpha = options.feedback.ewma_alpha;
-  wire.spill = options.query.spill;
-  wire.spill_budget_pages = options.query.spill_budget_pages;
   return wire;
 }
 

@@ -156,7 +156,7 @@ class PayloadReader {
 /// and seed (an operator-side knob, fixed by server config).
 struct WireQueryOptions {
   uint64_t deadline_ms = 0;          // 0 = no deadline
-  uint64_t memory_budget_pages = 0;  // 0 = unlimited
+  uint64_t memory_budget_pages = 0;  // temp-page ledger; 0 = unlimited
   uint32_t exec_threads = 0;         // 0 = inherit executor default
   uint32_t batch_rows = 0;           // 0 = inherit executor default
   bool bypass_plan_cache = false;
@@ -167,14 +167,9 @@ struct WireQueryOptions {
   bool feedback = false;
   double feedback_drift = 0;
   double feedback_alpha = 0;
-  /// Spill switch (on by default; see QueryContext::spill) and the
-  /// temp-ledger budget override (0 = inherit; see
-  /// QueryContext::spill_budget_pages). Encoded as one flag bit gating a u8
-  /// state + u64 budget tail; an undefined state byte fails Decode.
-  bool spill = true;
-  uint64_t spill_budget_pages = 0;
 
   void Encode(PayloadWriter* w) const;
+  /// Fails on truncation and on any flag bit the protocol does not define.
   bool Decode(PayloadReader* r);
 
   /// Lowers onto the facade. The returned options carry a fresh

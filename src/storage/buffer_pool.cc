@@ -19,8 +19,7 @@ void BufferPool::ChargeRun(PageId first, uint32_t count, uint32_t step) {
 
 bool BufferPool::FetchLocked(PageId page) {
   ++stats_.fetches;
-  const size_t cap = EffectiveCapacityLocked();
-  if (cap == 0) {
+  if (capacity_ == 0) {
     ++stats_.misses;
     return false;
   }
@@ -35,7 +34,7 @@ bool BufferPool::FetchLocked(PageId page) {
     return true;
   }
   ++stats_.misses;
-  if (lru_.size() >= cap) EvictDownToLocked(cap - 1);
+  if (lru_.size() >= capacity_) EvictDownToLocked(capacity_ - 1);
   lru_.push_front(page);
   index_[page] = lru_.begin();
   return false;
@@ -47,20 +46,6 @@ void BufferPool::EvictDownToLocked(size_t limit) {
     lru_.pop_back();
     ++stats_.evictions;
   }
-}
-
-void BufferPool::SetQueryBudget(size_t budget_pages) {
-  SpinGuard guard(lock_);
-  budget_ = budget_pages;
-  // Degrade immediately: pages beyond the budget are evicted now (and
-  // counted), so the budgeted section starts from a compliant resident set.
-  const size_t cap = EffectiveCapacityLocked();
-  if (cap < lru_.size()) EvictDownToLocked(cap);
-}
-
-void BufferPool::ClearQueryBudget() {
-  SpinGuard guard(lock_);
-  budget_ = 0;
 }
 
 std::vector<PageId> BufferPool::SnapshotResident() const {

@@ -1,7 +1,6 @@
 #ifndef RODIN_STORAGE_BUFFER_POOL_H_
 #define RODIN_STORAGE_BUFFER_POOL_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -161,8 +160,7 @@ class BufferPool final : public PageCharger {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Accesses `page`; returns true on a hit. Misses evict LRU when full
-  /// (full = min(capacity, query budget) while a budget is armed).
+  /// Accesses `page`; returns true on a hit. Misses evict LRU when full.
   bool Fetch(PageId page);
 
   /// PageCharger: a charge is a fetch.
@@ -187,18 +185,6 @@ class BufferPool final : public PageCharger {
 
   /// Empties the pool and zeroes the counters (cold-start measurements).
   void Clear();
-
-  /// Arms a per-query resident-page budget: until cleared, the effective
-  /// LRU capacity is min(capacity, budget_pages) and the pool immediately
-  /// evicts down to it. This is the *graceful* half of the resource
-  /// governor — an over-budget query runs to completion with extra
-  /// (exactly accounted) misses rather than failing; the hard half
-  /// (kResourceExhausted) fires in the executor when a single temp-file
-  /// allocation alone exceeds the budget. Budgets do not nest; the engine
-  /// arms the budget only around the sections that charge the pool.
-  void SetQueryBudget(size_t budget_pages);
-  void ClearQueryBudget();
-  size_t query_budget() const { return budget_; }
 
   /// The resident set, most recently used first. TxnManager's commit
   /// snapshots before applying a batch and restores afterwards, so a
@@ -270,13 +256,7 @@ class BufferPool final : public PageCharger {
   /// Fetch without taking the lock. Caller holds it.
   bool FetchLocked(PageId page);
 
-  /// min(capacity_, budget_) while a budget is armed.
-  size_t EffectiveCapacityLocked() const {
-    return budget_ == 0 ? capacity_ : std::min(capacity_, budget_);
-  }
-
   size_t capacity_;
-  size_t budget_ = 0;  // 0 = no per-query budget armed
   std::atomic<uint32_t> active_fetchers_{0};
   Stats stats_;
   Stats published_;  // high-water mark of what PublishMetrics() exported

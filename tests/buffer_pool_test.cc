@@ -249,31 +249,24 @@ PoolState StateOf(const BufferPool& pool) {
 TEST(BufferPoolTest, ReplayedRunsMatchFetchByFetch) {
   // The engine replays its charge logs span by span; the pool must end in
   // exactly the state the same fetches one at a time leave, whatever the
-  // capacity — eviction pressure, a query budget, or no capacity at all.
+  // capacity — eviction pressure or no capacity at all.
   std::mt19937 rng(11);
   for (size_t capacity : {0, 1, 3, 16}) {
-    for (size_t budget : {0, 2}) {
-      ChargeLog log;
-      for (int i = 0; i < 200; ++i) {
-        const PageId page = rng() % 12;
-        const uint32_t count = 1 + rng() % 5;
-        log.ChargeRun(page, count, rng() % 2);
-      }
-      RecordingCharger flat;
-      log.ReplayInto(&flat);
-
-      BufferPool by_run(capacity);
-      BufferPool by_fetch(capacity);
-      if (budget > 0) {
-        by_run.SetQueryBudget(budget);
-        by_fetch.SetQueryBudget(budget);
-      }
-      log.ReplayInto(&by_run);
-      for (PageId p : flat.pages) by_fetch.Fetch(p);
-      EXPECT_EQ(StateOf(by_run), StateOf(by_fetch))
-          << "capacity=" << capacity << " budget=" << budget;
-      EXPECT_EQ(by_run.stats().fetches, flat.pages.size());
+    ChargeLog log;
+    for (int i = 0; i < 200; ++i) {
+      const PageId page = rng() % 12;
+      const uint32_t count = 1 + rng() % 5;
+      log.ChargeRun(page, count, rng() % 2);
     }
+    RecordingCharger flat;
+    log.ReplayInto(&flat);
+
+    BufferPool by_run(capacity);
+    BufferPool by_fetch(capacity);
+    log.ReplayInto(&by_run);
+    for (PageId p : flat.pages) by_fetch.Fetch(p);
+    EXPECT_EQ(StateOf(by_run), StateOf(by_fetch)) << "capacity=" << capacity;
+    EXPECT_EQ(by_run.stats().fetches, flat.pages.size());
   }
 }
 

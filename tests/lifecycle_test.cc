@@ -3,9 +3,9 @@
 // a budget trip surfaces as the corresponding Status code in bounded time,
 // partially-read streaming cursors can be cancelled from another thread
 // (TSan target), a generous deadline changes nothing (anytime transformPT
-// determinism), the buffer-pool budget degrades gracefully before the
-// hard kResourceExhausted edge, and a commit refuses while a cursor streams
-// but waits for a running Run.
+// determinism), an over-budget working set spills with the answer, counters
+// and measured cost of an unlimited run, and a commit refuses while a cursor
+// streams but waits for a running Run.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "datagen/music_gen.h"
 #include "exec/executor.h"
 #include "storage/buffer_pool.h"
+#include "support/reference_exec.h"
 
 namespace rodin {
 namespace {
@@ -306,17 +307,20 @@ TEST_F(LifecycleTest, MemoryBudgetDegradesGracefully) {
   const QueryRun base = session.Run(kFig3Text, plain);
   ASSERT_TRUE(base.ok()) << base.error();
 
-  // A small (but allocation-honouring) budget: the pool's effective LRU
-  // capacity is clamped, so the query runs to completion with the same
-  // answer and at least as many misses — never fewer.
+  // A small (but allocation-honouring) budget bounds only the temp-page
+  // ledger: over-budget working sets spill, so the query runs to completion
+  // with the same answer, counters and measured cost. The budget also
+  // enters costing; the plan shape must not move, or the comparison below
+  // would read a plan change as an accounting difference.
   QueryOptions bounded = plain;
   bounded.query.memory_budget_pages = 16;
   const QueryRun run = session.Run(kFig3Text, bounded);
   ASSERT_TRUE(run.ok()) << run.status.ToString();
+  ASSERT_EQ(run.optimized.plan->Fingerprint(),
+            base.optimized.plan->Fingerprint());
   EXPECT_EQ(Keys(run.answer), Keys(base.answer));
-  EXPECT_GE(run.measured_cost, base.measured_cost);
-  // The budget is disarmed once the run finishes.
-  EXPECT_EQ(g_.db->buffer_pool().query_budget(), 0u);
+  ExpectSameCounters(run.counters, base.counters);
+  EXPECT_EQ(run.measured_cost, base.measured_cost);
 }
 
 // The mutation-vs-live-cursor contract (docs/ROBUSTNESS.md): a commit while
@@ -457,50 +461,17 @@ TEST(LifecycleHardBudgetTest, OverBudgetWorkingSetSpillsAndCompletes) {
   const QueryRun base = session.Run(kFig3Text, plain);
   ASSERT_TRUE(base.ok()) << base.error();
 
-  // With spilling on (the default), the same budget now degrades
-  // gracefully: identical answer, the pool clamp surfaces as extra misses
-  // in the measured cost — never as an error.
+  // A 1-page budget degrades gracefully: the working sets spill, and
+  // the answer, counters and measured cost equal the unlimited run's.
   QueryOptions bounded = plain;
   bounded.query.memory_budget_pages = 1;
   const QueryRun run = session.Run(kFig3Text, bounded);
   ASSERT_TRUE(run.ok()) << run.status.ToString();
+  ASSERT_EQ(run.optimized.plan->Fingerprint(),
+            base.optimized.plan->Fingerprint());
   EXPECT_EQ(Keys(run.answer), Keys(base.answer));
-  EXPECT_GE(run.measured_cost, base.measured_cost);
-  EXPECT_EQ(g.db->buffer_pool().query_budget(), 0u);
-
-  // Opting out of spilling restores the typed hard failure, now carrying
-  // the machine-readable detail: the tripping operator's tag plus the
-  // requested / remaining page arithmetic (see PackResourceDetail).
-  QueryOptions off = bounded;
-  off.query.spill = false;
-  const QueryRun refused = session.Run(kFig3Text, off);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status.code, Status::Code::kResourceExhausted)
-      << refused.status.ToString();
-  EXPECT_NE(static_cast<int>(ResourceDetailOp(refused.status.detail)), 0);
-  EXPECT_GT(ResourceDetailRequested(refused.status.detail),
-            ResourceDetailRemaining(refused.status.detail));
-  EXPECT_LE(ResourceDetailRemaining(refused.status.detail), 1u);
-  EXPECT_TRUE(refused.answer.rows.empty());
-  EXPECT_EQ(g.db->buffer_pool().query_budget(), 0u);
-}
-
-TEST(BufferPoolBudgetTest, BudgetClampsEffectiveCapacity) {
-  BufferPool pool(8);
-  for (PageId p = 0; p < 8; ++p) pool.Fetch(p);
-  EXPECT_EQ(pool.resident_pages(), 8u);
-
-  // Arming a smaller budget evicts down immediately...
-  pool.SetQueryBudget(3);
-  EXPECT_EQ(pool.resident_pages(), 3u);
-  // ...and caps residency while armed.
-  for (PageId p = 100; p < 110; ++p) pool.Fetch(p);
-  EXPECT_EQ(pool.resident_pages(), 3u);
-
-  // Clearing restores the full capacity.
-  pool.ClearQueryBudget();
-  for (PageId p = 200; p < 220; ++p) pool.Fetch(p);
-  EXPECT_EQ(pool.resident_pages(), 8u);
+  ExpectSameCounters(run.counters, base.counters);
+  EXPECT_EQ(run.measured_cost, base.measured_cost);
 }
 
 TEST(BufferPoolBudgetTest, SnapshotRestoreRoundTripsHitPattern) {

@@ -168,9 +168,7 @@ class NlJoinMemoTest : public ::testing::Test {
     g_ = GenerateMusicDb(config, physical);
     composer_ = g_.schema->FindClass("Composer");
     composition_ = g_.schema->FindClass("Composition");
-    unlimited_.spill = true;
-    forced_.spill = true;
-    forced_.spill_budget_pages = 1;  // the filtered inner goes to disk
+    forced_.memory_budget_pages = 1;  // the filtered inner goes to disk
   }
 
   PTPtr MakeOuter(Outer outer) {
@@ -260,8 +258,7 @@ TEST_F(NlJoinMemoTest, InnerMemoOverTheLedgerFallsBackPerPair) {
                        size_t{6}, kHugeBudget, size_t{1} << 52,
                        size_t{1} << 60}) {
     budgets.emplace_back();
-    budgets.back().spill = true;
-    budgets.back().spill_budget_pages = pages;
+    budgets.back().memory_budget_pages = pages;
   }
   size_t fallbacks_beside_rows = 0;
   for (const JoinCase& c : Corpus()) {
@@ -272,12 +269,12 @@ TEST_F(NlJoinMemoTest, InnerMemoOverTheLedgerFallsBackPerPair) {
       for (const QueryContext& budget : budgets) {
         const std::string label =
             c.name + (materialized ? " (materialized inner)" : " (entity inner)") +
-            " ledger=" + std::to_string(budget.spill_budget_pages);
+            " budget=" + std::to_string(budget.memory_budget_pages);
         ExpectEngineMatchesReference(g_.db.get(), *plan, label,
                                      {{"budget", &budget}});
         if (HasFailure()) return;
         const auto [rows, spills] = vm_rows_of(*plan, &budget);
-        if (budget.spill_budget_pages >= kHugeBudget) {
+        if (budget.memory_budget_pages >= kHugeBudget) {
           EXPECT_EQ(rows, memo_rows) << label;
           EXPECT_EQ(spills, 0u) << label;
         } else if (materialized && spills == 0 && rows > memo_rows) {

@@ -113,24 +113,6 @@ TEST(WireCodecTest, PayloadPrimitivesRoundTripAndBoundsCheck) {
   EXPECT_FALSE(bad.U64(&u64));  // stays poisoned
 }
 
-TEST(WireCodecTest, RetiredCompiledEvalFlagBitsAreIgnored) {
-  // Flag bits 1 and 2 once carried a compiled-eval override. A payload that
-  // still sets them decodes as if they were clear.
-  QueryOptions options;
-  options.bypass_plan_cache = true;
-  PayloadWriter w;
-  WireQueryOptions::FromQueryOptions(options).Encode(&w);
-  std::string payload = w.data();
-  const size_t flags_at = 8 + 8 + 4 + 4;  // deadline, budget, threads, batch
-  ASSERT_GT(payload.size(), flags_at);
-  payload[flags_at] = static_cast<char>(payload[flags_at] | 0x06);
-  PayloadReader r(payload.data(), payload.size());
-  WireQueryOptions wire;
-  ASSERT_TRUE(wire.Decode(&r));
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_TRUE(wire.ToQueryOptions().bypass_plan_cache);
-}
-
 TEST(WireCodecTest, ForgedThreadCountFailsValidation) {
   // A QUERY frame is untrusted: a forged exec_threads decodes fine but is
   // refused by Validate() before any worker pool could be sized from it.
@@ -191,24 +173,21 @@ TEST(WireCodecTest, QueryOptionsRoundTripPreservesInheritRule) {
   EXPECT_FALSE(decoded2.feedback.enabled);
   EXPECT_EQ(decoded2.feedback.drift_threshold, 0.0);
   EXPECT_EQ(decoded2.feedback.ewma_alpha, 0.0);
-  EXPECT_TRUE(decoded2.query.spill);
-  EXPECT_EQ(decoded2.query.spill_budget_pages, 0u);
 }
 
 /// A QUERY options block laid out by hand: zero deadline, budget, threads
-/// and batch, then `flags` and, when flag bit 6 is set, the spill tail (u8
-/// state, u64 budget pages).
-std::string RawOptions(uint8_t flags, uint8_t spill_state = 0,
-                       uint64_t spill_budget = 0) {
+/// and batch, then `flags` and, when flag bit 5 (feedback tuning) is set,
+/// its two-F64 tail.
+std::string RawOptions(uint8_t flags) {
   PayloadWriter w;
   w.U64(0);
   w.U64(0);
   w.U32(0);
   w.U32(0);
   w.U8(flags);
-  if ((flags & 0x40) != 0) {
-    w.U8(spill_state);
-    w.U64(spill_budget);
+  if ((flags & 0x20) != 0) {
+    w.F64(2.5);
+    w.F64(0.25);
   }
   return w.Take();
 }
@@ -223,21 +202,15 @@ TEST(WireCodecTest, EveryQueryOptionRoundTrips) {
   original.feedback.enabled = true;
   original.feedback.drift_threshold = 2.5;
   original.feedback.ewma_alpha = 0.25;
-  original.query.spill = true;
-  original.query.spill_budget_pages = 4096;
 
-  auto round_trip = [](const QueryOptions& options) {
-    PayloadWriter w;
-    WireQueryOptions::FromQueryOptions(options).Encode(&w);
-    const std::string payload = w.data();
-    PayloadReader r(payload.data(), payload.size());
-    WireQueryOptions wire;
-    EXPECT_TRUE(wire.Decode(&r));
-    EXPECT_TRUE(r.AtEnd());
-    return wire.ToQueryOptions();
-  };
-
-  const QueryOptions decoded = round_trip(original);
+  PayloadWriter w;
+  WireQueryOptions::FromQueryOptions(original).Encode(&w);
+  const std::string payload = w.data();
+  PayloadReader r(payload.data(), payload.size());
+  WireQueryOptions wire;
+  ASSERT_TRUE(wire.Decode(&r));
+  EXPECT_TRUE(r.AtEnd());
+  const QueryOptions decoded = wire.ToQueryOptions();
   EXPECT_EQ(decoded.query.deadline_ms, 250u);
   EXPECT_EQ(decoded.query.memory_budget_pages, 1000u);
   EXPECT_EQ(decoded.exec_threads, std::optional<size_t>(4));
@@ -246,54 +219,33 @@ TEST(WireCodecTest, EveryQueryOptionRoundTrips) {
   EXPECT_TRUE(decoded.feedback.enabled);
   EXPECT_EQ(decoded.feedback.drift_threshold, 2.5);
   EXPECT_EQ(decoded.feedback.ewma_alpha, 0.25);
-  EXPECT_TRUE(decoded.query.spill);
-  EXPECT_EQ(decoded.query.spill_budget_pages, 4096u);
 
-  // Every (feedback, spill) pair survives, with and without a ledger budget.
-  for (const bool feedback : {false, true}) {
-    for (const bool spill : {false, true}) {
-      for (const uint64_t budget : {uint64_t{0}, uint64_t{7}}) {
-        SCOPED_TRACE("feedback " + std::to_string(feedback) + " spill " +
-                     std::to_string(spill) + " budget " +
-                     std::to_string(budget));
-        QueryOptions pair;
-        pair.feedback.enabled = feedback;
-        pair.query.spill = spill;
-        pair.query.spill_budget_pages = budget;
-        const QueryOptions back = round_trip(pair);
-        EXPECT_EQ(back.feedback.enabled, feedback);
-        EXPECT_EQ(back.query.spill, spill);
-        EXPECT_EQ(back.query.spill_budget_pages, budget);
-      }
-    }
-  }
-
-  // Older clients sent "inherit the server default" as a clear feedback-set
-  // bit (3) and as spill state 0. Both now decode to the defaults: feedback
-  // off, spill on. Bit 4 without bit 3 carried no value then either.
-  for (const uint8_t flags : {uint8_t{0x00}, uint8_t{0x10}, uint8_t{0x40},
-                              uint8_t{0x50}}) {
+  // docs/SERVER.md defines one flag bit per boolean: bit 0 bypasses the
+  // plan cache, bit 4 turns feedback on, bit 5 gates the tuning tail. Every
+  // combination of those round-trips byte for byte; a flags byte with any
+  // other bit set is a malformed frame.
+  constexpr unsigned kDefined = 0x01 | 0x10 | 0x20;
+  size_t defined = 0;
+  for (unsigned flags = 0; flags < 256; ++flags) {
     SCOPED_TRACE("flags " + std::to_string(flags));
-    const std::string payload = RawOptions(flags, /*spill_state=*/0, 7);
-    PayloadReader r(payload.data(), payload.size());
-    WireQueryOptions wire;
-    ASSERT_TRUE(wire.Decode(&r));
-    EXPECT_TRUE(r.AtEnd());
-    const QueryOptions legacy = wire.ToQueryOptions();
-    EXPECT_FALSE(legacy.feedback.enabled);
-    EXPECT_TRUE(legacy.query.spill);
-    EXPECT_EQ(legacy.query.spill_budget_pages, (flags & 0x40) ? 7u : 0u);
+    const std::string raw = RawOptions(static_cast<uint8_t>(flags));
+    PayloadReader raw_reader(raw.data(), raw.size());
+    WireQueryOptions back;
+    if ((flags & ~kDefined) != 0) {
+      EXPECT_FALSE(back.Decode(&raw_reader));
+      continue;
+    }
+    ++defined;
+    ASSERT_TRUE(back.Decode(&raw_reader));
+    EXPECT_TRUE(raw_reader.AtEnd());
+    EXPECT_EQ(back.bypass_plan_cache, (flags & 0x01) != 0);
+    EXPECT_EQ(back.feedback, (flags & 0x10) != 0);
+    EXPECT_EQ(back.feedback_drift, (flags & 0x20) != 0 ? 2.5 : 0.0);
+    PayloadWriter again;
+    back.Encode(&again);
+    EXPECT_EQ(again.data(), raw);
   }
-
-  // docs/SERVER.md defines spill states 0, 1 and 2 only; any other state
-  // byte makes the frame malformed.
-  for (const uint8_t state : {uint8_t{3}, uint8_t{0x80}, uint8_t{0xff}}) {
-    SCOPED_TRACE("state " + std::to_string(state));
-    const std::string payload = RawOptions(0x40, state, 0);
-    PayloadReader r(payload.data(), payload.size());
-    WireQueryOptions wire;
-    EXPECT_FALSE(wire.Decode(&r));
-  }
+  EXPECT_EQ(defined, 8u);
 }
 
 TEST(WireCodecTest, ValuesRoundTrip) {
@@ -606,10 +558,25 @@ TEST_F(ServerTest, ForcedDeadlineTravelsTheWire) {
 }
 
 TEST_F(ServerTest, ForcedSpillBudgetTravelsTheWire) {
-  // A QUERY carrying spill_budget_pages = 1 spills the fixpoint's working
+  // A QUERY carrying memory_budget_pages = 1 spills the fixpoint's working
   // sets on the server and answers exactly like its unlimited twin: the
   // same rows in the same order, rows produced and measured cost.
   StartServer(60, 2, 4);
+  // The budget also enters costing; both twins must choose one plan shape
+  // (probed on a session with its own plan cache), or a plan change would
+  // read as an accounting difference.
+  Session probe(engine_->db(), engine_->optimizer_options(),
+                engine_->cost_params());
+  QueryOptions shape;
+  shape.explain_only = true;
+  const QueryRun unlimited_plan = probe.Run(kRecursiveQuery, shape);
+  shape.query.memory_budget_pages = 1;
+  const QueryRun forced_plan = probe.Run(kRecursiveQuery, shape);
+  ASSERT_TRUE(unlimited_plan.ok()) << unlimited_plan.error();
+  ASSERT_TRUE(forced_plan.ok()) << forced_plan.error();
+  ASSERT_EQ(forced_plan.optimized.plan->Fingerprint(),
+            unlimited_plan.optimized.plan->Fingerprint());
+
   Client client = Connected();
   obs::Counter* spills =
       obs::MetricsRegistry::Global().GetCounter("rodin.spill.spills");
@@ -620,7 +587,7 @@ TEST_F(ServerTest, ForcedSpillBudgetTravelsTheWire) {
   ASSERT_TRUE(client.Query(kRecursiveQuery).ok());
 
   QueryOptions forced;
-  forced.query.spill_budget_pages = 1;
+  forced.query.memory_budget_pages = 1;
   uint64_t before = spills->value();
   const ClientResult spilled = client.Query(kRecursiveQuery, forced);
   const uint64_t forced_spills = spills->value() - before;
@@ -888,7 +855,9 @@ TEST_F(ServerTest, RawProtocolRejectsQueryBeforeHello) {
       [](const Server::Stats& s) { return s.protocol_errors >= 1; }));
 }
 
-TEST_F(ServerTest, RawProtocolRejectsUndefinedSpillState) {
+TEST_F(ServerTest, RawProtocolRejectsUndefinedFlagBit) {
+  // Bit 6 of the QUERY flags byte is not defined (docs/SERVER.md): the
+  // server answers invalid_argument and drops the connection.
   StartServer(40, 2, 4);
   RawConnection raw;
   ASSERT_TRUE(raw.Connect(server_->port()));
@@ -902,7 +871,7 @@ TEST_F(ServerTest, RawProtocolRejectsUndefinedSpillState) {
 
   PayloadWriter w;
   w.Str(kSimpleQuery);
-  const std::string query = w.Take() + RawOptions(0x40, /*spill_state=*/3);
+  const std::string query = w.Take() + RawOptions(0x40);
   ASSERT_TRUE(raw.Send(EncodeFrame(FrameType::kQuery, 2, query)));
 
   ASSERT_TRUE(raw.ReadFrame(&header, &payload));

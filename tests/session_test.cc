@@ -13,11 +13,14 @@
 #include "api/session.h"
 #include "cost/fig7.h"
 #include "datagen/music_gen.h"
+#include "exec/executor.h"
 #include "obs/config.h"
 #include "obs/trace.h"
 #include "optimizer/baseline.h"
 #include "query/paper_queries.h"
+#include "storage/buffer_pool.h"
 #include "support/query_paths.h"
+#include "support/reference_exec.h"
 
 namespace rodin {
 namespace {
@@ -343,6 +346,97 @@ TEST_F(SessionTest, ConcurrentSessionsShareOnePlanCache) {
   EXPECT_LE(stats.misses, kThreads * queries.size());
   EXPECT_GE(stats.hits, total - kThreads * queries.size());
   EXPECT_EQ(stats.evictions, 0u);
+}
+
+// The per-query memory budget bounds only the query's temp-page ledger. The
+// buffer pool that counts the paper's page I/O is shared by every session
+// over a database and holds no page contents, so a budget must leave it
+// alone: one tenant's budgeted run changes neither another tenant's warm
+// accounting nor its own, which equals an unlimited run of its plan.
+TEST(SessionBudgetTest, BudgetedTenantLeavesTheSharedPoolAlone) {
+  MusicConfig config;
+  config.num_composers = 60;
+  config.lineage_depth = 8;
+  GeneratedDb g = GenerateMusicDb(config, PaperMusicPhysical());
+  BufferPool& pool = g.db->buffer_pool();
+  const QueryGraph fig3 = Fig3Query(*g.schema);
+  Session a(g.db.get());
+  Session b(g.db.get());
+  a.set_shared_db(true);
+  b.set_shared_db(true);
+
+  struct Measured {
+    QueryRun run;
+    uint64_t misses = 0;
+    size_t resident = 0;
+  };
+  auto measure = [&](Session* session, const QueryOptions& options) {
+    Measured out;
+    const uint64_t before = pool.stats().misses;
+    out.run = session->Run(fig3, options);
+    out.misses = pool.stats().misses - before;
+    out.resident = pool.resident_pages();
+    return out;
+  };
+  // Warm A until the pool is full: every run leaves its fresh temp pages
+  // resident, so only a full pool has a steady resident-page count.
+  for (int i = 0; i < 64 && pool.resident_pages() < pool.capacity(); ++i) {
+    ASSERT_TRUE(a.Run(fig3).ok());
+  }
+  ASSERT_EQ(pool.resident_pages(), pool.capacity());
+  const Measured warm = measure(&a, QueryOptions{});
+  ASSERT_TRUE(warm.run.ok()) << warm.run.error();
+
+  const std::vector<PageId> before_b = pool.SnapshotResident();
+  QueryOptions budgeted;
+  budgeted.query.memory_budget_pages = 1;
+  const Measured tenant_b = measure(&b, budgeted);
+  ASSERT_TRUE(tenant_b.run.ok()) << tenant_b.run.error();
+  // The budget also enters costing; a plan change would read as an
+  // accounting difference below.
+  ASSERT_EQ(tenant_b.run.optimized.plan->Fingerprint(),
+            warm.run.optimized.plan->Fingerprint());
+
+  const Measured again = measure(&a, QueryOptions{});
+  ASSERT_TRUE(again.run.ok()) << again.run.error();
+  EXPECT_EQ(again.run.measured_cost, warm.run.measured_cost);
+  EXPECT_EQ(again.misses, warm.misses);
+  EXPECT_EQ(again.resident, warm.resident);
+
+  // B's plan from the pool state B started from, on an executor: with no
+  // budget it must give B's rows, counters and cost; under B's budget its
+  // spill stats (kept with observability compiled out too) show B spilled.
+  struct Replayed {
+    Table answer;
+    ExecCounters counters;
+    double measured_cost = 0;
+    uint64_t spills = 0;
+  };
+  auto replay = [&](const QueryContext& query) {
+    pool.RestoreResident(before_b);
+    Executor exec(g.db.get());
+    exec.ResetMeasurementShared();
+    ExecOptions options;
+    options.query = &query;
+    Replayed out;
+    EXPECT_TRUE(
+        exec.ExecuteInto(*tenant_b.run.optimized.plan, options, &out.answer)
+            .ok());
+    out.counters = exec.counters();
+    out.measured_cost = exec.MeasuredCost();
+    out.spills = exec.spill_stats().spills;
+    return out;
+  };
+  const Replayed unlimited = replay(QueryContext{});
+  ASSERT_FALSE(unlimited.answer.rows.empty());
+  EXPECT_EQ(tenant_b.run.answer.rows, unlimited.answer.rows);
+  ExpectSameCounters(tenant_b.run.counters, unlimited.counters);
+  EXPECT_EQ(tenant_b.run.measured_cost, unlimited.measured_cost);
+  EXPECT_EQ(unlimited.spills, 0u);
+  const Replayed forced = replay(budgeted.query);
+  EXPECT_EQ(forced.answer.rows, unlimited.answer.rows);
+  EXPECT_EQ(forced.measured_cost, unlimited.measured_cost);
+  EXPECT_GT(forced.spills, 0u);
 }
 
 }  // namespace

@@ -1,21 +1,23 @@
 // Spill-to-disk differential suite: forcing every operator working set over
-// the temp-page ledger (spill_budget_pages = 1, spill on) must change
-// *nothing observable* about a query — same rows in the same order, every
-// ExecCounters field, the buffer pool's fetch/hit/miss totals and
-// MeasuredCost() bit-identical to the reference evaluator
-// (tests/support/reference_exec.h), in every batch_rows x exec_threads
-// configuration. The ledger budget deliberately never clamps the buffer
-// pool's LRU capacity, so this is exact equality, not a tolerance
-// (docs/ROBUSTNESS.md).
+// the temp-page ledger (memory_budget_pages = 1), or only the larger ones
+// (4 and 16 pages), must change *nothing observable* about a query — same
+// rows in the same order, every ExecCounters field, the buffer pool's
+// fetch/hit/miss totals and MeasuredCost() bit-identical to the reference
+// evaluator (tests/support/reference_exec.h), in every batch_rows x
+// exec_threads configuration. The budget never touches the buffer pool,
+// so this is exact equality, not a tolerance (docs/ROBUSTNESS.md).
 //
 // Also covered here: the cumulative live-temp-page ledger (two allocations
-// that each fit the budget individually must still trip / spill together),
-// the machine-readable kResourceExhausted detail when spilling is off, the
-// single-oversized-row refusal, spilled fix-cache hits, lifecycle (cancel /
-// forced deadline) interactions mid-spill, and the API surfaces a forced
-// ledger reaches: a traced Session::Run (the execute span's spill args), a
-// Session::Query cursor drained or destroyed early, and an executor-owned
-// cursor destroyed early. Each is checked against an unlimited twin.
+// that each fit the budget individually must still spill together), the
+// single-oversized-row refusal with its machine-readable kResourceExhausted
+// detail, spilled fix-cache hits, lifecycle (cancel / forced deadline)
+// interactions mid-spill, and the API surfaces a forced budget reaches: a
+// traced Session::Run (the execute span's spill args), a Session::Query
+// cursor drained or destroyed early, and an executor-owned cursor destroyed
+// early. Each is checked against an unlimited twin. The budget also enters
+// costing, so session-level twins first check that both chose one plan
+// shape: a plan change fails loudly instead of reading as an accounting
+// difference.
 //
 // Queries cover the paper's Figure 3 recursion plus randomized SPJ,
 // recursive and graph-closure queries (the exec_differential_test
@@ -43,7 +45,9 @@
 #include "obs/trace.h"
 #include "optimizer/baseline.h"
 #include "optimizer/optimizer.h"
+#include "plan/pt.h"
 #include "query/builder.h"
+#include "query/expr.h"
 #include "query/graph_queries.h"
 #include "query/paper_queries.h"
 #include "query/query_graph.h"
@@ -56,30 +60,30 @@ namespace {
 
 QueryContext ForcedSpillContext() {
   QueryContext q;
-  q.spill = true;
-  q.spill_budget_pages = 1;  // every multi-page working set goes to disk
-  return q;
-}
-
-QueryContext UnlimitedContext() {
-  QueryContext q;
-  q.spill = true;  // spilling allowed, but no ledger budget to spill over
+  q.memory_budget_pages = 1;  // every multi-page working set goes to disk
   return q;
 }
 
 /// Runs `plan` on the reference evaluator, then on every batched
-/// configuration under both ledger arms (unlimited / forced spill),
+/// configuration with no budget and under 1-, 4- and 16-page budgets,
 /// asserting exact equality throughout. Returns the maximum spill count
-/// seen across the forced arm, so callers that know the query materializes
-/// multiple temps can assert the forced arm really exercised the spill
-/// path.
+/// seen under the 1-page budget, so callers that know the query
+/// materializes multiple temps can assert the forced arm really exercised
+/// the spill path.
 uint64_t ExpectSpillIdentical(Database* db, const PTNode& plan,
                               const std::string& label) {
-  const QueryContext unlimited = UnlimitedContext();
+  const QueryContext unlimited;
   const QueryContext forced = ForcedSpillContext();
+  QueryContext four;
+  four.memory_budget_pages = 4;
+  QueryContext sixteen;
+  sixteen.memory_budget_pages = 16;
   const std::vector<uint64_t> spills = ExpectEngineMatchesReference(
       db, plan, label,
-      {{"unlimited", &unlimited}, {"forced-spill", &forced}});
+      {{"unlimited", &unlimited},
+       {"budget=1", &forced},
+       {"budget=4", &four},
+       {"budget=16", &sixteen}});
   EXPECT_EQ(spills[0], 0u);
   return spills[1];
 }
@@ -111,7 +115,7 @@ TEST(SpillDifferentialTest, Fig3HarpsichordForcedSpillIsBitIdentical) {
 }
 
 // --- Randomized queries over randomized databases --------------------------
-// (the exec_differential_test generators, re-run across both ledger arms)
+// (the exec_differential_test generators, re-run across every budget arm)
 
 class SpillDifferentialSeedTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -176,7 +180,7 @@ TEST_P(SpillDifferentialSeedTest, GraphClosure) {
 }
 
 // 6 seeds x (2 SPJ + 2 recursive) + 6 graph closures = 30 random queries,
-// each compared across 12 engine/ledger arms against the reference.
+// each compared across 24 engine/budget arms against the reference.
 INSTANTIATE_TEST_SUITE_P(Seeds, SpillDifferentialSeedTest,
                          ::testing::Range<uint64_t>(1, 7),
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
@@ -196,29 +200,6 @@ select [dname: j.disciple.name] from j in Influencer
 where j.master.works.instruments.iname = "harpsichord" and j.gen >= 6
 )";
 
-// Two recursive views joined in the answer: both memoized fixpoint results
-// (plus the join's inner materialization) are live at the same time, so
-// there are budgets where every allocation fits individually but the
-// cumulative ledger is over — the shape the pre-fix per-allocation check
-// silently admitted.
-const char kTwoClosuresText[] = R"(
-relation Influencer includes
-  (select [master: x.master, disciple: x, gen: 1] from x in Composer)
-  union
-  (select [master: i.master, disciple: x, gen: i.gen + 1]
-   from i in Influencer, x in Composer where i.disciple = x.master)
-
-relation Lineage includes
-  (select [root: x.master, leaf: x] from x in Composer)
-  union
-  (select [root: l.root, leaf: x]
-   from l in Lineage, x in Composer where l.leaf = x.master)
-
-select [a: i.disciple.name, b: l.leaf.name]
-from i in Influencer, l in Lineage
-where i.disciple = l.leaf and i.gen >= 3
-)";
-
 std::vector<std::string> Keys(const Table& t) {
   std::vector<std::string> out;
   for (const Row& row : t.rows) {
@@ -236,103 +217,75 @@ GeneratedDb MakeLedgerDb() {
   return GenerateMusicDb(config, PaperMusicPhysical());
 }
 
+/// The Composer extent bound to `var`, materialized with nine padding
+/// columns: a temp of several pages when a join builds it as its inner.
+PTPtr PaddedComposers(const ClassDef* composer, const std::string& var) {
+  std::vector<OutCol> proj;
+  std::vector<PTCol> cols;
+  proj.push_back(OutCol{var, Expr::Path(var, {})});
+  cols.push_back(PTCol{var, composer});
+  for (int k = 0; k < 9; ++k) {
+    const std::string pad = var + "_pad" + std::to_string(k);
+    proj.push_back(OutCol{pad, Expr::Lit(Value::Int(k))});
+    cols.push_back(PTCol{pad, nullptr});
+  }
+  return MakeProj(MakeEntity(EntityRef{"Composer", 0, 0}, var, composer),
+                  std::move(proj), std::move(cols), /*dedup=*/false);
+}
+
+/// Composers `c` joined to their disciples `x` and, when `twice`, on to the
+/// disciples' disciples `y`: one or two materialized join inners.
+PTPtr DiscipleJoins(const ClassDef* composer, bool twice) {
+  PTPtr plan = MakeEJ(
+      MakeEntity(EntityRef{"Composer", 0, 0}, "c", composer),
+      PaddedComposers(composer, "x"),
+      Expr::Cmp(CompareOp::kEq, Expr::Path("c", {}), Expr::Path("x", {"master"})),
+      JoinAlgo::kNestedLoop);
+  if (!twice) return plan;
+  return MakeEJ(
+      std::move(plan), PaddedComposers(composer, "y"),
+      Expr::Cmp(CompareOp::kEq, Expr::Path("x", {}), Expr::Path("y", {"master"})),
+      JoinAlgo::kNestedLoop);
+}
+
 TEST(SpillLedgerTest, CumulativeLiveTempPagesTripAcrossAllocations) {
+  // Join inners are held to query end, so the two-join plan has both of its
+  // inners live at once. Walk the budget up until one inner fits alone (the
+  // one-join plan does not spill) but not beside the other (the two-join
+  // plan does): only the *cumulative* ledger spills there. The regression
+  // this pins: a per-allocation check (the original bug) never spills at
+  // such a budget, over-committing memory by the live remainder. Every arm
+  // must still match the reference evaluator exactly.
   GeneratedDb g = MakeLedgerDb();
-  Session session(g.db.get());
-  QueryOptions unlimited;
-  unlimited.cold = true;
-  const QueryRun base = session.Run(kTwoClosuresText, unlimited);
-  ASSERT_TRUE(base.ok()) << base.error();
-
-  // Walk the budget up until a trip whose requested size alone fits the
-  // budget: only the *cumulative* ledger can refuse that allocation. The
-  // regression this pins: a per-allocation check (the original bug) never
-  // trips at such a budget, over-committing memory by the live remainder.
+  const ClassDef* composer = g.schema->FindClass("Composer");
+  const PTPtr one = DiscipleJoins(composer, /*twice=*/false);
+  const PTPtr two = DiscipleJoins(composer, /*twice=*/true);
   bool cumulative_trip = false;
-  for (size_t budget = 1; budget <= (1u << 16); budget *= 2) {
-    QueryOptions off;
-    off.cold = true;
-    off.query.spill = false;
-    off.query.spill_budget_pages = budget;
-    const QueryRun run = session.Run(kTwoClosuresText, off);
-    if (run.ok()) break;  // the whole working set fits: nothing left to trip
-    ASSERT_EQ(run.status.code, Status::Code::kResourceExhausted)
-        << run.status.ToString();
-    const uint64_t requested = ResourceDetailRequested(run.status.detail);
-    const uint64_t remaining = ResourceDetailRemaining(run.status.detail);
-    EXPECT_GT(requested, remaining) << run.status.ToString();
-    EXPECT_LE(remaining, budget);
-    if (requested > budget) continue;  // largest-alloc trip, keep growing
-
-    cumulative_trip = true;
-    // The same budget with spilling on must complete with the unlimited
-    // answer and cost (the ledger never clamps the buffer pool), and must
-    // really have spilled. The evidence is an executor's own spill stats,
-    // which exist with observability compiled out too: the session's
-    // executor is internal, so the chosen plan runs again on one.
-    QueryOptions on = off;
-    on.query.spill = true;
-    const QueryRun spilled = session.Run(kTwoClosuresText, on);
-    ASSERT_TRUE(spilled.ok()) << spilled.status.ToString();
-    EXPECT_EQ(Keys(spilled.answer), Keys(base.answer));
-    EXPECT_EQ(spilled.measured_cost, base.measured_cost);
-    ExecOptions exec_options;
-    exec_options.query = &on.query;
-    Executor exec(g.db.get());
-    Table replayed;
-    ASSERT_TRUE(
-        exec.ExecuteInto(*spilled.optimized.plan, exec_options, &replayed)
-            .ok());
-    EXPECT_EQ(Keys(replayed), Keys(base.answer));
-    EXPECT_GT(exec.spill_stats().spills, 0u);
-    break;
+  for (size_t budget = 1; budget <= 64; ++budget) {
+    QueryContext query;
+    query.memory_budget_pages = budget;
+    const std::string label = "budget " + std::to_string(budget);
+    const uint64_t alone = ExpectEngineMatchesReference(
+        g.db.get(), *one, label + ", one join", {{"budget", &query}})[0];
+    const uint64_t together = ExpectEngineMatchesReference(
+        g.db.get(), *two, label + ", two joins", {{"budget", &query}})[0];
+    if (HasFailure() || together == 0) break;  // everything fits
+    if (alone == 0) {
+      cumulative_trip = true;
+      break;
+    }
   }
   EXPECT_TRUE(cumulative_trip)
-      << "no budget produced a cumulative-ledger trip; the per-allocation "
+      << "no budget produced a cumulative-ledger spill; the per-allocation "
          "regression is unprotected";
 }
 
-// --- kResourceExhausted detail (spilling off) ------------------------------
-
-TEST(SpillLedgerTest, SpillOffTripCarriesMachineReadableDetail) {
-  GeneratedDb g = MakeLedgerDb();
-  Session session(g.db.get());
-  QueryOptions off;
-  off.cold = true;
-  off.query.spill = false;
-  off.query.spill_budget_pages = 1;
-  const QueryRun run = session.Run(kFig3Text, off);
-  ASSERT_FALSE(run.ok());
-  ASSERT_EQ(run.status.code, Status::Code::kResourceExhausted)
-      << run.status.ToString();
-  EXPECT_TRUE(run.answer.rows.empty());
-
-  // The packed detail names the tripping operator and the page arithmetic,
-  // so pool managers branch on the payload, not on message text.
-  const SpillOpTag tag = ResourceDetailOp(run.status.detail);
-  EXPECT_TRUE(tag == SpillOpTag::kJoinBuild || tag == SpillOpTag::kFixDelta ||
-              tag == SpillOpTag::kDedup || tag == SpillOpTag::kFixCache ||
-              tag == SpillOpTag::kUnion)
-      << static_cast<int>(tag);
-  EXPECT_GT(ResourceDetailRequested(run.status.detail), 1u);
-  EXPECT_LE(ResourceDetailRemaining(run.status.detail), 1u);
-  EXPECT_NE(run.status.message.find("spilling is off"), std::string::npos)
-      << run.status.message;
-
-  // The identical query with spilling on (the default) completes.
-  QueryOptions on = off;
-  on.query.spill = true;
-  const QueryRun ok = session.Run(kFig3Text, on);
-  ASSERT_TRUE(ok.ok()) << ok.status.ToString();
-  EXPECT_FALSE(ok.answer.rows.empty());
-}
-
-// --- The one unconditional refusal: a row wider than the budget ------------
+// --- The one refusal: a row wider than the budget ---------------------------
 
 QueryGraph WideRecursiveQuery(const Schema& schema) {
-  // 260 extra columns push one row past a 1-page ledger (16 bytes/value:
+  // 260 extra columns push one row past a 1-page budget (16 bytes/value:
   // 263 columns ~ 4208 bytes > 4096), so the fixpoint delta's first
-  // allocation is refused even with spilling on.
+  // allocation is refused: no spill can split one row.
   QueryGraphBuilder b;
   NodeBuilder& p1 = b.Node("Influencer", "P1");
   p1.Input("Composer", "x");
@@ -358,7 +311,7 @@ QueryGraph WideRecursiveQuery(const Schema& schema) {
   return b.Build(schema);
 }
 
-TEST(SpillLedgerTest, RowWiderThanBudgetIsRefusedEvenWithSpillOn) {
+TEST(SpillLedgerTest, RowWiderThanBudgetIsRefused) {
   MusicConfig config;
   config.num_composers = 20;
   config.lineage_depth = 4;
@@ -381,14 +334,19 @@ TEST(SpillLedgerTest, RowWiderThanBudgetIsRefusedEvenWithSpillOn) {
   EXPECT_NE(status.message.find("no partitioning can split one row"),
             std::string::npos)
       << status.message;
+  // The packed detail names the tripping operator and the page arithmetic,
+  // so pool managers branch on the payload, not on message text.
+  EXPECT_EQ(ResourceDetailOp(status.detail), SpillOpTag::kFixDelta);
   EXPECT_EQ(ResourceDetailRequested(status.detail), TempRowPages(263));
+  EXPECT_LE(ResourceDetailRemaining(status.detail), 1u);
   EXPECT_TRUE(out.rows.empty());
   // Narrower working sets (the union dedup) may have spilled before the
-  // wide row tripped; the point is the refusal fired despite spill-on.
+  // wide row tripped; the point is the refusal fired although spilling
+  // handles every other over-budget working set.
 
-  // The same plan under an unlimited ledger completes, exactly like the
-  // reference: the refusal is about the budget, not the query.
-  const QueryContext unlimited = UnlimitedContext();
+  // The same plan under no budget completes, exactly like the reference:
+  // the refusal is about the budget, not the query.
+  const QueryContext unlimited;
   ExecOptions ok;
   ok.query = &unlimited;
   const ExecFingerprint got = EngineFingerprint(g.db.get(), *plan.plan, ok);
@@ -446,8 +404,7 @@ TEST_F(SpillLifecycleTest, CancelAbortsForcedSpillRun) {
   Session session(g_.db.get());
   QueryOptions options;
   options.cold = true;
-  options.query.spill = true;
-  options.query.spill_budget_pages = 1;
+  options.query.memory_budget_pages = 1;
   options.query.cancel.RequestCancel();
   const QueryRun run = session.Run(kFig3Text, options);
   ASSERT_FALSE(run.ok());
@@ -460,7 +417,7 @@ TEST_F(SpillLifecycleTest, ForcedDeadlineMidFixpointUnderForcedSpill) {
   // iterations have already written spill files: the abort must unwind
   // them cleanly (tmpfile-backed spill files self-delete) and surface the
   // deadline, not a spill artifact. The partial accounting is exact: the
-  // same abort with an unlimited ledger charged the same work.
+  // same abort of the same plan with no budget charged the same work.
   FaultConfig fc;
   fc.force_deadline_fix_iter = 2;
   FaultInjector::Global().Configure(fc);
@@ -468,8 +425,7 @@ TEST_F(SpillLifecycleTest, ForcedDeadlineMidFixpointUnderForcedSpill) {
   Session session(g_.db.get());
   QueryOptions options;
   options.cold = true;
-  options.query.spill = true;
-  options.query.spill_budget_pages = 1;
+  options.query.memory_budget_pages = 1;
   const QueryRun run = session.Run(kFig3Text, options);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status.code, Status::Code::kDeadlineExceeded)
@@ -482,6 +438,8 @@ TEST_F(SpillLifecycleTest, ForcedDeadlineMidFixpointUnderForcedSpill) {
   const QueryRun in_memory = session.Run(kFig3Text, unlimited);
   EXPECT_EQ(in_memory.status.code, Status::Code::kDeadlineExceeded)
       << in_memory.status.ToString();
+  ASSERT_EQ(run.optimized.plan->Fingerprint(),
+            in_memory.optimized.plan->Fingerprint());
   EXPECT_EQ(run.counters.predicate_evals, in_memory.counters.predicate_evals);
   EXPECT_EQ(run.counters.method_calls, in_memory.counters.method_calls);
   EXPECT_EQ(run.counters.rows_produced, in_memory.counters.rows_produced);
@@ -489,10 +447,10 @@ TEST_F(SpillLifecycleTest, ForcedDeadlineMidFixpointUnderForcedSpill) {
   EXPECT_EQ(run.measured_cost, in_memory.measured_cost);
 }
 
-// --- The API surfaces under a forced ledger ---------------------------------
-// A 1-page spill_budget_pages on one query, against the same query with no
-// budget: the same rows, ExecCounters and measured cost, and the forced
-// twin really spilled.
+// --- The API surfaces under a forced budget ---------------------------------
+// A 1-page memory_budget_pages on one query, against the same query with no
+// budget: the same plan shape, rows, ExecCounters and measured cost, and the
+// forced twin really spilled.
 
 /// The rodin.spill.* metrics (zero when observability is compiled out).
 struct SpillMetrics {
@@ -543,9 +501,25 @@ class SpillSurfaceTest : public ::testing::Test {
   void SetUp() override {
     g_ = MakeLedgerDb();
     forced_.cold = true;
-    forced_.query.spill_budget_pages = 1;
+    forced_.query.memory_budget_pages = 1;
     unlimited_.cold = true;
   }
+
+  /// Both twins choose one plan shape (checked on a fresh session, so the
+  /// twins' own plan cache stays cold).
+  void ExpectSamePlanShape() {
+    Session probe(g_.db.get());
+    QueryOptions forced = forced_;
+    QueryOptions unlimited = unlimited_;
+    forced.explain_only = true;
+    unlimited.explain_only = true;
+    const QueryRun a = probe.Run(kFig3Text, forced);
+    const QueryRun b = probe.Run(kFig3Text, unlimited);
+    ASSERT_TRUE(a.ok()) << a.error();
+    ASSERT_TRUE(b.ok()) << b.error();
+    EXPECT_EQ(a.optimized.plan->Fingerprint(), b.optimized.plan->Fingerprint());
+  }
+
   GeneratedDb g_;
   QueryOptions forced_;
   QueryOptions unlimited_;
@@ -563,6 +537,8 @@ TEST_F(SpillSurfaceTest, TracedRunCarriesSpillArgsOnlyWhenItSpilled) {
   const SpillMetrics unlimited = SpillMetrics::Now().Since(before);
   ASSERT_TRUE(spilled.ok()) << spilled.error();
   ASSERT_TRUE(in_memory.ok()) << in_memory.error();
+  ASSERT_EQ(spilled.optimized.plan->Fingerprint(),
+            in_memory.optimized.plan->Fingerprint());
 
   EXPECT_FALSE(in_memory.answer.rows.empty());
   EXPECT_EQ(Keys(spilled.answer), Keys(in_memory.answer));
@@ -591,6 +567,7 @@ TEST_F(SpillSurfaceTest, TracedRunCarriesSpillArgsOnlyWhenItSpilled) {
 }
 
 TEST_F(SpillSurfaceTest, DrainedCursorMatchesItsUnlimitedTwin) {
+  ASSERT_NO_FATAL_FAILURE(ExpectSamePlanShape());
   Session session(g_.db.get());
   forced_.batch_rows = 3;
   unlimited_.batch_rows = 3;
@@ -629,6 +606,7 @@ TEST_F(SpillSurfaceTest, CursorDestroyedEarlyMatchesItsUnlimitedTwin) {
   // outlives its cursor also keeps the partial counters and measured cost.
   forced_.batch_rows = 1;
   unlimited_.batch_rows = 1;
+  ASSERT_NO_FATAL_FAILURE(ExpectSamePlanShape());
   struct Partial {
     std::vector<std::string> rows;
     BufferPool::Stats pool;
@@ -687,7 +665,7 @@ TEST_F(SpillSurfaceTest, CursorDestroyedEarlyMatchesItsUnlimitedTwin) {
     return out;
   };
   const Abandoned forced = abandon_stream(ForcedSpillContext());
-  const Abandoned unlimited = abandon_stream(UnlimitedContext());
+  const Abandoned unlimited = abandon_stream(QueryContext{});
   EXPECT_EQ(forced.rows.size(), 1u);
   EXPECT_EQ(forced.rows, unlimited.rows);
   ExpectSameCounters(forced.counters, unlimited.counters);

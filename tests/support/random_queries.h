@@ -1,6 +1,7 @@
 // Seeded random query generators over the music schema, shared by the
-// differential suites (exec_differential_test, spill_test). The same Rng
-// state always yields the same query.
+// differential suites (exec_differential_test, spill_test,
+// differential_search_test) and the plan-cache corpus. The same Rng state
+// always yields the same query.
 
 #ifndef RODIN_TESTS_SUPPORT_RANDOM_QUERIES_H_
 #define RODIN_TESTS_SUPPORT_RANDOM_QUERIES_H_

@@ -232,24 +232,12 @@ TEST_F(TutorialTest, BudgetsAndCancellationSectionWorksAsWritten) {
   QueryOptions ro;
   ro.cold = true;
   ro.query.deadline_ms = 600000;
-  // The ledger-only knob from the tutorial snippet: a budget below the
-  // fixpoint's ~71-page temp working set, so the over-budget tail spills
-  // to disk and the run completes, with the pool unclamped as documented.
-  ro.query.spill_budget_pages = 48;
+  // A memory budget below the fixpoint's ~71-page temp working set: the
+  // over-budget tail spills to disk and the run completes.
+  ro.query.memory_budget_pages = 48;
   const QueryRun run = session.Run(kQuery, ro);
   ASSERT_TRUE(run.ok()) << run.status.ToString();
   EXPECT_FALSE(run.answer.rows.empty());
-
-  // Opting out of spilling restores the typed hard failure, with the
-  // tripping operator and page arithmetic packed into the detail.
-  QueryOptions off = ro;
-  off.query.spill = false;
-  const QueryRun refused = session.Run(kQuery, off);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status.code, Status::Code::kResourceExhausted)
-      << refused.status.ToString();
-  EXPECT_GT(ResourceDetailRequested(refused.status.detail),
-            ResourceDetailRemaining(refused.status.detail));
 
   // Cancellation mid-stream: a shared-flag token copy stops the cursor.
   QueryOptions streaming;

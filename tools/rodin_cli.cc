@@ -4,7 +4,6 @@
 //             [--optimizer=cost|deductive|naive|exhaustive|annealing]
 //             [--parallel=P] [--threads=N] [--exec-threads=N]
 //             [--batch-rows=N] [--deadline-ms=N] [--memory-budget-pages=N]
-//             [--no-spill] [--spill-budget-pages=N]
 //             [--explain] [--plan-only]
 //             [--feedback] [--feedback-drift=X]
 //             [--feedback-alpha=X] [--no-plan-cache] [--symbolic]
@@ -46,11 +45,10 @@
 // comparisons and mirrors QueryOptions::bypass_plan_cache).
 //
 // --deadline-ms and --memory-budget-pages bound the run's lifecycle (see
-// docs/ROBUSTNESS.md). An over-budget operator working set spills to disk
-// (graceful degradation); --no-spill makes it fail fast with
-// resource_exhausted instead. --spill-budget-pages bounds the temp-page
-// ledger alone — unlike --memory-budget-pages it never clamps the buffer
-// pool, so spilling can be forced while accounting stays identical.
+// docs/ROBUSTNESS.md). --memory-budget-pages bounds the query's live temp
+// pages: an over-budget operator working set spills to disk, with the same
+// answer, counters and measured cost; only a single row wider than the
+// whole budget fails (resource_exhausted).
 // On failure the exit code is the Status taxonomy's
 // code (ExitCodeForStatus): parse=3 semantic=4 optimize=5 exec=6
 // cancelled=7 deadline=8 resource=9 fault=10 internal=11
@@ -108,9 +106,6 @@ struct CliOptions {
   double feedback_alpha = 0;
   uint64_t deadline_ms = 0;   // 0 = no deadline
   uint64_t memory_budget_pages = 0;  // 0 = unlimited
-  // 0 budget = inherit.
-  bool spill = true;
-  uint64_t spill_budget_pages = 0;
   bool explain = false;
   bool plan_only = false;
   bool no_plan_cache = false;
@@ -381,8 +376,7 @@ void Usage() {
       "annealing]\n"
       "                 [--parallel=P] [--threads=N] [--exec-threads=N]\n"
       "                 [--batch-rows=N] [--deadline-ms=N]\n"
-      "                 [--memory-budget-pages=N] [--no-spill]\n"
-      "                 [--spill-budget-pages=N] [--explain] [--plan-only]\n"
+      "                 [--memory-budget-pages=N] [--explain] [--plan-only]\n"
       "                 [--feedback] [--feedback-drift=X]\n"
       "                 [--feedback-alpha=X]\n"
       "                 [--no-plan-cache] [--symbolic] [--trace-out=FILE]\n"
@@ -462,17 +456,12 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "memory-budget-pages", &value)) {
       options.memory_budget_pages =
           ParseCount(value, "memory-budget-pages");
-    } else if (ParseFlag(argv[i], "spill-budget-pages", &value)) {
-      options.spill_budget_pages =
-          ParseCount(value, "spill-budget-pages");
     } else if (ParseFlag(argv[i], "query", &value)) {
       options.query_file = value;
     } else if (ParseFlag(argv[i], "mutate", &value)) {
       options.mutate_spec = value;
     } else if (ParseFlag(argv[i], "trace-out", &value)) {
       options.trace_out = value;
-    } else if (std::strcmp(argv[i], "--no-spill") == 0) {
-      options.spill = false;
     } else if (std::strcmp(argv[i], "--feedback") == 0) {
       options.feedback = true;
     } else if (ParseFlag(argv[i], "feedback-drift", &value)) {
@@ -573,8 +562,6 @@ int main(int argc, char** argv) {
   ro.bypass_plan_cache = options.no_plan_cache;
   ro.query.deadline_ms = options.deadline_ms;
   ro.query.memory_budget_pages = options.memory_budget_pages;
-  ro.query.spill = options.spill;
-  ro.query.spill_budget_pages = options.spill_budget_pages;
 
   if (options.explain) {
     const ExplainResult ex = session.Explain(text, ro);
