@@ -2,7 +2,9 @@
 // engine's morsel workers, on the Figure 3 recursion and a selective scan.
 // E14 — compiled evaluation over bound navigation, with per-layer rows for
 // navigation, charge logging and pool replay.
-// E18 — the nested-loop join's pair loop alone (BM_LayerNLJoinPairs).
+// E18 — the nested-loop join's pair loop alone (BM_LayerNLJoinPairs, which
+// the key probe now decides, and BM_LayerNLJoinPairLoop, which runs every
+// pair program; E21).
 // Every configuration computes the same answer with bit-identical counters
 // and measured cost (asserted here cheaply via row counts; the exhaustive
 // check is exec_differential_test) — the sweep measures pure wall time.
@@ -305,9 +307,15 @@ BENCHMARK(BM_LayerPoolReplay)->Unit(benchmark::kMicrosecond);
 // i.disciple = x.master. Every (delta row, composer) pair is one predicate
 // evaluation; `pairs` and `charges` (pool fetches, re-scans included) are
 // deterministic, so a change to either is a change in work, not noise.
+// That predicate is a key equality over a quiet outer column, so the join
+// looks each delta row's matches up in the inner memo's key index. `loop`
+// joins the same inputs on i.disciple.master = x.master, whose outer
+// operand navigates: the key probe cannot take it, and every pair program
+// runs.
 struct PairLoopCase {
   Database* db = nullptr;
   PTPtr plan;
+  PTPtr loop;
 };
 
 PairLoopCase& PairCase() {
@@ -325,6 +333,11 @@ PairLoopCase& PairCase() {
         std::move(proj),
         {{"i.master", composer}, {"i.disciple", composer}, {"i.gen", nullptr}},
         /*dedup=*/false);
+    p->loop = MakeEJ(delta->Clone(),
+                     MakeEntity(EntityRef{"Composer", 0, 0}, "x", composer),
+                     Expr::Eq(Expr::Path("i", {"disciple", "master"}),
+                              Expr::Path("x", {"master"})),
+                     JoinAlgo::kNestedLoop);
     p->plan = MakeEJ(std::move(delta),
                      MakeEntity(EntityRef{"Composer", 0, 0}, "x", composer),
                      Expr::Eq(Expr::Path("i", {"disciple"}),
@@ -335,16 +348,16 @@ PairLoopCase& PairCase() {
   return *c;
 }
 
-void BM_LayerNLJoinPairs(benchmark::State& state) {
-  PairLoopCase& c = PairCase();
+void RunPairLoop(const PTNode& plan, benchmark::State& state) {
+  Database* db = PairCase().db;
   uint64_t pairs = 0, charges = 0;
   for (auto _ : state) {
-    Executor exec(c.db);
+    Executor exec(db);
     exec.ResetMeasurement(true);
-    const Table out = exec.Execute(*c.plan);
+    const Table out = exec.Execute(plan);
     benchmark::DoNotOptimize(out.rows.data());
     pairs = exec.counters().predicate_evals;
-    charges = c.db->buffer_pool().stats().fetches;
+    charges = db->buffer_pool().stats().fetches;
   }
   state.counters["pairs"] = static_cast<double>(pairs);
   state.counters["charges"] = static_cast<double>(charges);
@@ -352,7 +365,16 @@ void BM_LayerNLJoinPairs(benchmark::State& state) {
       static_cast<double>(pairs) * state.iterations(),
       benchmark::Counter::kIsRate);
 }
+
+void BM_LayerNLJoinPairs(benchmark::State& state) {
+  RunPairLoop(*PairCase().plan, state);
+}
 BENCHMARK(BM_LayerNLJoinPairs)->Unit(benchmark::kMicrosecond);
+
+void BM_LayerNLJoinPairLoop(benchmark::State& state) {
+  RunPairLoop(*PairCase().loop, state);
+}
+BENCHMARK(BM_LayerNLJoinPairLoop)->Unit(benchmark::kMicrosecond);
 
 void BM_BatchRowsSweep(benchmark::State& state) {
   ExecOptions options;

@@ -66,6 +66,7 @@ struct ExecCtx {
   uint64_t vm_chunks = 0;
   uint64_t vm_instrs = 0;
   uint64_t vm_rows = 0;
+  uint64_t pairs_probed = 0;
   /// Engine-local per-node profile with *exclusive* page counts; made
   /// inclusive by a plan walk at Finalize, then merged into the executor.
   std::map<const PTNode*, OpStats> local_stats;
@@ -168,6 +169,7 @@ struct ExecCtx {
                      &scratch};
       for (size_t i = 0; i < n; ++i) fn(i, &ec, out);
       vm_rows += scratch.rows;
+      pairs_probed += scratch.pairs_probed;
       return;
     }
     struct Morsel {
@@ -194,6 +196,7 @@ struct ExecCtx {
       for (Row& r : m.rows) out->push_back(std::move(r));
       counters.MergeFrom(m.c);
       vm_rows += m.scratch.rows;
+      pairs_probed += m.scratch.pairs_probed;
     }
   }
 };
@@ -932,6 +935,14 @@ class IndexJoinOp : public Op {
 /// like any other: it is charged to the temp-page ledger while probing, and
 /// when it does not fit (or the inner spilled) each pair captures its inner
 /// row's slots itself.
+///
+/// When the predicate is one equality of an outer and an inner slot
+/// (JoinPredicate::key_probe), the memo also indexes the inner slot by
+/// value. An outer row whose block of pair charges was replayed up front
+/// (ReplayInnerBlock) then looks its matches up by key instead of running
+/// its pairs: those pairs charge and count nothing but their predicate
+/// evaluations, so which rows match is all they decide, and the key probe
+/// yields those rows in the same ascending order.
 class NLJoinOp : public Op {
  public:
   NLJoinOp(ExecCtx* ctx, const PTNode* node) : Op(ctx, node) {
@@ -997,7 +1008,9 @@ class NLJoinOp : public Op {
   /// ledger's remainder; it is then charged to the ledger until probing
   /// ends. Capturing charges nothing: each pair replays what it reads. A
   /// memo that outgrows the remainder is dropped (nothing spills, nothing
-  /// is refused) and ProbePair captures per pair instead.
+  /// is refused) and ProbePair captures per pair instead. A key predicate's
+  /// index is part of the memo; when the memo fits but the memo and its
+  /// index do not, the index is dropped and every pair runs.
   void CaptureInnerMemo() {
     const bool budgeted = ctx_->ledger_budget > 0;
     const uint64_t free_pages =
@@ -1025,6 +1038,10 @@ class NLJoinOp : public Op {
       return;
     }
     has_inner_memo_ = true;
+    if (pred_.key_probe && inner_memo_.BuildKeyIndex(pred_.key_slots[1]) &&
+        budgeted && inner_memo_.bytes() > room) {
+      inner_memo_.DropKeyIndex();
+    }
     if (budgeted) {
       inner_memo_pages_ =
           (inner_memo_.bytes() + kPageSizeBytes - 1) / kPageSizeBytes;
@@ -1121,8 +1138,17 @@ class NLJoinOp : public Op {
           slots.replay = !ReplayInnerBlock(ec);
           *ec->predicate_evals += rcount;
           std::vector<size_t>& matches = ec->vm->matches;
-          matches.clear();
-          vm::RunPairs(pred_.pair, ec, slots, rcount, &matches, ec->vm);
+          // With the block replayed a pair only decides whether it
+          // matches, which the key index answers; an outer NaN key cannot
+          // be looked up and runs the pairs.
+          if (!slots.replay && inner_memo_.has_key_index() &&
+              inner_memo_.ProbeKeys(
+                  ec->vm->outer_row.Values(0, pred_.key_slots[0]), &matches)) {
+            ec->vm->pairs_probed += rcount;
+          } else {
+            matches.clear();
+            vm::RunPairs(pred_.pair, ec, slots, rcount, &matches, ec->vm);
+          }
           for (size_t ri : matches) {
             rows->push_back(Joined(lrow, right_.rows[ri]));
           }
@@ -1436,6 +1462,8 @@ uint64_t BatchEngine::vm_chunks() const { return impl_->ctx.vm_chunks; }
 
 uint64_t BatchEngine::vm_instrs() const { return impl_->ctx.vm_instrs; }
 
+uint64_t BatchEngine::pairs_probed() const { return impl_->ctx.pairs_probed; }
+
 bool BatchEngine::Next(RowBatch* out) {
   out->Clear();
   if (impl_->exhausted) return false;
@@ -1521,9 +1549,12 @@ void BatchEngine::Finalize() {
         obs::MetricsRegistry::Global().GetCounter("rodin.vm.chunk_instrs");
     static obs::Counter* rows =
         obs::MetricsRegistry::Global().GetCounter("rodin.vm.rows_evaluated");
+    static obs::Counter* probed =
+        obs::MetricsRegistry::Global().GetCounter("rodin.vm.pairs_probed");
     chunks->Add(ctx.vm_chunks);
     instrs->Add(ctx.vm_instrs);
     rows->Add(ctx.vm_rows);
+    probed->Add(ctx.pairs_probed);
   }
   if (impl_->cfg.counters != nullptr) {
     ExecCounters* c = impl_->cfg.counters;

@@ -91,6 +91,10 @@ class BatchEngine {
   uint64_t vm_chunks() const;
   uint64_t vm_instrs() const;
 
+  /// Nested-loop join pairs decided by a key probe of the inner memo
+  /// instead of their pair program; feeds the execute span's args.
+  uint64_t pairs_probed() const;
+
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;

@@ -102,6 +102,8 @@ void ResultCursor::FinalizeAccounting() {
     const uint64_t span = im->execute_span;
     tracer.AddArg(span, "vm_chunks", std::to_string(im->engine->vm_chunks()));
     tracer.AddArg(span, "vm_instrs", std::to_string(im->engine->vm_instrs()));
+    tracer.AddArg(span, "pairs_probed",
+                  std::to_string(im->engine->pairs_probed()));
     tracer.AddArg(span, "rows", std::to_string(im->engine->rows_emitted()));
     tracer.AddArg(span, "measured_cost", im->measured_cost);
     if (!im->status.ok()) tracer.AddArg(span, "status", im->status.code_name());

@@ -347,6 +347,17 @@ JoinPredicate CompileJoinPredicate(const ExprPtr& pred, const RowSchema& outer,
       out.loads_every_slot = false;
     }
   }
+  const std::vector<Instr>& code = out.pair.code;
+  if (code.size() == 4 && code[0].op == OpCode::kLoadSlot &&
+      code[1].op == OpCode::kLoadSlot && code[0].b != code[1].b &&
+      code[2].op == OpCode::kCompare &&
+      static_cast<CompareOp>(code[2].d) == CompareOp::kEq &&
+      code[2].b == code[0].a && code[2].c == code[1].a &&
+      code[3].op == OpCode::kRetBool && code[3].a == code[2].a) {
+    out.key_probe = true;
+    out.key_slots[code[0].b] = code[0].d;
+    out.key_slots[code[1].b] = code[1].d;
+  }
   return out;
 }
 
@@ -438,7 +449,14 @@ void DisassembleNode(const PTNode& node, const Database& db, std::string* out) {
           AppendChunk(out, node, StrFormat("inner slot %zu", k).c_str(),
                       jp.inner_slots[k]);
         }
-        AppendChunk(out, node, "pair", jp.pair);
+        AppendChunk(out, node,
+                    jp.key_probe
+                        ? StrFormat("pair (key probe: outer slot %u = inner "
+                                    "slot %u)",
+                                    jp.key_slots[0], jp.key_slots[1])
+                              .c_str()
+                        : "pair",
+                    jp.pair);
       }
       break;
     }

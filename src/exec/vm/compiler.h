@@ -1,6 +1,8 @@
 #ifndef RODIN_EXEC_VM_COMPILER_H_
 #define RODIN_EXEC_VM_COMPILER_H_
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -57,6 +59,13 @@ struct JoinPredicate {
   /// slot order: a pair replays all of its outer row's slot charges, then
   /// all of its inner row's.
   bool loads_every_slot = false;
+  /// The pair program is exactly one equality of outer slot key_slots[0]
+  /// and inner slot key_slots[1] (kLoadSlot, kLoadSlot, kCompare kEq,
+  /// kRetBool, in either operand order), so a pair matches exactly when
+  /// the two entries share a value and the join may look its matches up
+  /// by key (SlotMemo::BuildKeyIndex).
+  bool key_probe = false;
+  std::array<uint32_t, 2> key_slots{};
 };
 
 /// Splits and compiles the predicate of a join whose output schema is

@@ -1,6 +1,7 @@
 #include "exec/vm/vm.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 #include "query/expr.h"
@@ -18,6 +19,7 @@ void SlotMemo::Clear(size_t num_slots) {
   all_.clear();
   all_calls_ = 0;
   all_cost_fp_ = 0;
+  DropKeyIndex();
 }
 
 void SlotMemo::Capture(const std::vector<BytecodeChunk>& slots,
@@ -56,6 +58,69 @@ void SlotMemo::ReplayAll(EvalContext* ctx) const {
   all_.ReplayInto(ctx->charger);
   *ctx->method_calls += all_calls_;
   *ctx->method_cost_fp += all_cost_fp_;
+}
+
+namespace {
+
+/// True when `v` is a NaN or a collection holding one at any depth: the one
+/// kind of value on which Value::Compare is not a strict weak order.
+bool HoldsNaN(const Value& v) {
+  if (v.is_real()) return std::isnan(v.AsReal());
+  if (!v.is_collection()) return false;
+  for (const Value& e : v.AsCollection().elems) {
+    if (HoldsNaN(e)) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+bool SlotMemo::BuildKeyIndex(size_t slot) {
+  DropKeyIndex();
+  const size_t rows =
+      num_slots_ == 0 ? 0 : (value_off_.size() - 1) / num_slots_;
+  for (size_t r = 0; r < rows; ++r) {
+    const size_t k = r * num_slots_ + slot;
+    for (size_t v = value_off_[k]; v < value_off_[k + 1]; ++v) {
+      if (HoldsNaN(values_[v])) {
+        DropKeyIndex();
+        return false;
+      }
+      key_index_.push_back(KeyEntry{v, r});
+    }
+  }
+  std::sort(key_index_.begin(), key_index_.end(),
+            [this](const KeyEntry& a, const KeyEntry& b) {
+              const int c = values_[a.value].Compare(values_[b.value]);
+              return c != 0 ? c < 0 : a.row < b.row;
+            });
+  has_key_index_ = true;
+  return true;
+}
+
+void SlotMemo::DropKeyIndex() {
+  key_index_.clear();
+  key_index_.shrink_to_fit();
+  has_key_index_ = false;
+}
+
+bool SlotMemo::ProbeKeys(ValueSpan keys, std::vector<size_t>* rows) const {
+  rows->clear();
+  for (const Value& key : keys) {
+    if (HoldsNaN(key)) return false;
+    auto it = std::lower_bound(key_index_.begin(), key_index_.end(), key,
+                               [this](const KeyEntry& e, const Value& k) {
+                                 return values_[e.value].Compare(k) < 0;
+                               });
+    for (; it != key_index_.end() && values_[it->value].Compare(key) == 0;
+         ++it) {
+      rows->push_back(it->row);
+    }
+  }
+  // One key's rows are already ascending; several keys' ranges interleave.
+  if (keys.end() - keys.begin() > 1) std::sort(rows->begin(), rows->end());
+  rows->erase(std::unique(rows->begin(), rows->end()), rows->end());
+  return true;
 }
 
 namespace {

@@ -59,15 +59,40 @@ class SlotMemo {
     return all_.empty() && all_calls_ == 0 && all_cost_fp_ == 0;
   }
 
+  /// Indexes slot `slot` of every row by value: one (value, row) pair per
+  /// value, ordered by Value::Compare and then by row. Under that order two
+  /// values are equivalent exactly when a kEq compare of them is true
+  /// (numerics compare as doubles, different non-numeric kinds never), with
+  /// one exception: NaN compares equal to every number. So a slot whose
+  /// values hold a NaN, at any depth, gets no index. Returns whether the
+  /// index was built; it lives until DropKeyIndex or the next Clear.
+  bool BuildKeyIndex(size_t slot);
+  void DropKeyIndex();
+  bool has_key_index() const { return has_key_index_; }
+
+  /// Sets `rows` to the rows, ascending and each once, whose indexed slot
+  /// holds a value equal to one of `keys`: the inner rows a kEq pair
+  /// program over an outer entry holding `keys` and the indexed slot
+  /// matches. Returns false, with `rows` unspecified, when a key holds a
+  /// NaN; the caller then runs the pairs.
+  bool ProbeKeys(ValueSpan keys, std::vector<size_t>* rows) const;
+
   /// Bytes the entries hold (values, charge spans, per-entry offsets and
-  /// method counts), for the temp-page ledger.
+  /// method counts) and the key index, for the temp-page ledger.
   size_t bytes() const {
     return values_.size() * sizeof(Value) +
            (spans_.size() + all_.spans().size()) * sizeof(ChargeLog::Span) +
-           method_calls_.size() * (2 * sizeof(size_t) + 2 * sizeof(uint64_t));
+           method_calls_.size() * (2 * sizeof(size_t) + 2 * sizeof(uint64_t)) +
+           key_index_.size() * sizeof(KeyEntry);
   }
 
  private:
+  /// One key index entry: values_[value] is a value of entry (row, slot).
+  struct KeyEntry {
+    size_t value;
+    size_t row;
+  };
+
   size_t num_slots_ = 0;
   std::vector<Value> values_;
   std::vector<ChargeLog::Span> spans_;
@@ -84,6 +109,9 @@ class SlotMemo {
   uint64_t all_cost_fp_ = 0;
   /// The capturing log, reused across evaluations.
   ChargeLog capture_;
+  /// See BuildKeyIndex.
+  std::vector<KeyEntry> key_index_;
+  bool has_key_index_ = false;
 };
 
 /// What a pair program's kLoadSlot reads: entry `row[i]` of `memo[i]`, for
@@ -118,8 +146,13 @@ struct VmScratch {
   /// probed, and the inner row read back per pair from a spilled inner.
   SlotMemo outer_row;
   SlotMemo inner_row;
-  /// The inner rows RunPairs matched for the outer row being probed.
+  /// The inner rows RunPairs or a key probe matched for the outer row
+  /// being probed.
   std::vector<size_t> matches;
+  /// Join pairs a key probe decided without running their pair program
+  /// (so not counted in `rows`), merged into the rodin.vm.pairs_probed
+  /// metric by the engine.
+  uint64_t pairs_probed = 0;
   /// Debug-only per-opcode execution counts (tests wire this to prove every
   /// instruction is covered); null in production.
   std::array<uint64_t, kNumOpCodes>* opcode_hits = nullptr;

@@ -60,6 +60,9 @@ TEST_F(ExplainTest, Fig3ReportsStagesDecisionsAndCounters) {
   QueryOptions options;
   options.cold = true;
   options.collect_trace = true;
+  obs::Counter* probed =
+      obs::MetricsRegistry::Global().GetCounter("rodin.vm.pairs_probed");
+  const uint64_t probed_before = probed->value();
   const ExplainResult ex = session.Explain(Fig3Query(*g_.schema, 6), options);
   ASSERT_TRUE(ex.ok()) << ex.status.ToString();
 
@@ -106,6 +109,20 @@ TEST_F(ExplainTest, Fig3ReportsStagesDecisionsAndCounters) {
     EXPECT_TRUE(ex.trace->HasSpan("execute"));
     EXPECT_NE(ex.trace->ToChromeJson().find("push-vs-unpushed"),
               std::string::npos);
+    // The fixpoint's join looks its matches up in the inner memo's key
+    // index; the execute span reports the pairs the probe decided.
+    const uint64_t pairs_probed = probed->value() - probed_before;
+    EXPECT_GT(pairs_probed, 0u);
+    size_t spans = 0;
+    for (const obs::TraceEvent& event : ex.trace->events()) {
+      if (event.name != "execute") continue;
+      ++spans;
+      const std::map<std::string, std::string> args(event.args.begin(),
+                                                    event.args.end());
+      ASSERT_EQ(args.count("pairs_probed"), 1u);
+      EXPECT_EQ(args.at("pairs_probed"), std::to_string(pairs_probed));
+    }
+    EXPECT_EQ(spans, 1u);
   }
 }
 

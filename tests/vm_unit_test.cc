@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -474,6 +475,137 @@ TEST(BoundPathTest, MatchesByNameNavigationOnEveryExtent) {
   ASSERT_EQ(result.new_oids.size(), 1u);
   people.push_back(result.new_oids[0]);
   check_all();
+}
+
+// --- Key probes over a join's inner memo -----------------------------------
+
+TEST_F(VmTest, OnlyOneSlotEqualityIsAKeyPredicate) {
+  RowSchema outer, inner;
+  outer.cols = {{"o", nullptr}, {"p", nullptr}};
+  inner.cols = {{"k", nullptr}, {"m", nullptr}};
+  auto compiled = [&](ExprPtr pred) {
+    return vm::CompileJoinPredicate(pred, outer, inner, *g_.db);
+  };
+  const vm::JoinPredicate outer_left =
+      compiled(Expr::Eq(Expr::Path("p", {}), Expr::Path("m", {})));
+  EXPECT_TRUE(outer_left.key_probe);
+  EXPECT_EQ(outer_left.key_slots, (std::array<uint32_t, 2>{0, 0}));
+  const vm::JoinPredicate inner_left =
+      compiled(Expr::Eq(Expr::Path("k", {}), Expr::Path("o", {})));
+  EXPECT_TRUE(inner_left.key_probe);
+  EXPECT_EQ(inner_left.key_slots, (std::array<uint32_t, 2>{0, 0}));
+  // Any other operator, a second compare, an operand over both inputs, or
+  // a literal operand is no key predicate.
+  EXPECT_FALSE(compiled(Expr::Cmp(CompareOp::kNe, Expr::Path("o", {}),
+                                  Expr::Path("k", {})))
+                   .key_probe);
+  EXPECT_FALSE(compiled(Expr::And([] {
+                 std::vector<ExprPtr> kids;
+                 kids.push_back(Expr::Eq(Expr::Path("o", {}),
+                                         Expr::Path("k", {})));
+                 kids.push_back(Expr::Eq(Expr::Path("p", {}),
+                                         Expr::Path("m", {})));
+                 return kids;
+               }()))
+                   .key_probe);
+  EXPECT_FALSE(compiled(Expr::Eq(Expr::Arith(ArithOp::kAdd,
+                                             Expr::Path("o", {}),
+                                             Expr::Path("m", {})),
+                                 Expr::Path("k", {})))
+                   .key_probe);
+  EXPECT_FALSE(
+      compiled(Expr::Eq(Expr::Path("o", {}), Expr::Lit(Value::Int(1))))
+          .key_probe);
+}
+
+TEST_F(VmTest, KeyIndexAnswersWhatThePairsAnswer) {
+  // One memo slot per input, reading a column as is. Every outer key list
+  // probes the inner memo's index; the rows must be those the pair program
+  // matches, ascending, each once.
+  RowSchema outer, inner;
+  outer.cols = {{"o", nullptr}};
+  inner.cols = {{"k", nullptr}};
+  const vm::JoinPredicate jp = vm::CompileJoinPredicate(
+      Expr::Eq(Expr::Path("o", {}), Expr::Path("k", {})), outer, inner,
+      *g_.db);
+  ASSERT_TRUE(jp.key_probe);
+  const Value ref = rows_[0][0];
+  const std::vector<Value> inner_keys = {
+      Value::Int(1),
+      Value::Real(-0.0),
+      Value::Str("a"),
+      Value::Real(1.0),
+      Value::Null(),
+      Value::Int(0),
+      Value::MakeList({Value::Int(2), Value::Int(2), Value::Real(3.5)}),
+      ref,
+      Value::Bool(true),
+      Value::MakeSet({}),
+      Value::Str("b"),
+      Value::Real(0.0),
+      Value::MakeList({Value::Int(1), Value::Str("a")})};
+  const std::vector<Value> outer_keys = {
+      Value::Int(1),   Value::Real(0.0),  Value::Real(-0.0), Value::Int(0),
+      Value::Int(2),   Value::Real(3.5),  Value::Str("a"),   ref,
+      Value::Int(7),   Value::Null(),     Value::MakeSet({}),
+      Value::Bool(true),
+      Value::MakeList({Value::Int(2), Value::Str("b"), Value::Int(1)}),
+      Value::MakeList({Value::Real(1.0), Value::Int(1)})};
+
+  vm::VmScratch scratch;
+  EvalContext ctx = Ctx(&scratch);
+  vm::SlotMemo memo;
+  memo.Clear(jp.inner_slots.size());
+  for (const Value& k : inner_keys) {
+    memo.Capture(jp.inner_slots, g_.db.get(), Row{k}, &scratch);
+  }
+  const size_t bytes = memo.bytes();
+  ASSERT_TRUE(memo.BuildKeyIndex(jp.key_slots[1]));
+  EXPECT_GT(memo.bytes(), bytes);  // the ledger sees the index
+
+  std::vector<size_t> probed;
+  for (const Value& k : outer_keys) {
+    vm::SlotMemo one;
+    one.Clear(jp.outer_slots.size());
+    one.Capture(jp.outer_slots, g_.db.get(), Row{k}, &scratch);
+    vm::PairSlots slots;
+    slots.memo = {&one, &memo};
+    std::vector<size_t> pairs;
+    vm::RunPairs(jp.pair, &ctx, slots, inner_keys.size(), &pairs, &scratch);
+    ASSERT_TRUE(memo.ProbeKeys(one.Values(0, jp.key_slots[0]), &probed))
+        << k.ToString();
+    EXPECT_EQ(probed, pairs) << k.ToString();
+  }
+  // -0.0 equals 0.0 and Int(0) (rows 1, 5 and 11).
+  vm::SlotMemo zero;
+  zero.Clear(1);
+  zero.Capture(jp.outer_slots, g_.db.get(), Row{Value::Real(-0.0)}, &scratch);
+  ASSERT_TRUE(memo.ProbeKeys(zero.Values(0, 0), &probed));
+  EXPECT_EQ(probed, (std::vector<size_t>{1, 5, 11}));
+
+  // NaN compares equal to every number, so no order can index it: an
+  // outer NaN key refuses the probe (the caller runs the pairs) ...
+  vm::SlotMemo nan;
+  nan.Clear(1);
+  nan.Capture(jp.outer_slots, g_.db.get(),
+              Row{Value::MakeList({Value::Int(1), Value::Real(std::nan(""))})},
+              &scratch);
+  EXPECT_FALSE(memo.ProbeKeys(nan.Values(0, 0), &probed));
+  // ... and an inner NaN leaves the memo without an index.
+  memo.Capture(jp.inner_slots, g_.db.get(), Row{Value::Real(std::nan(""))},
+               &scratch);
+  EXPECT_FALSE(memo.BuildKeyIndex(jp.key_slots[1]));
+  EXPECT_FALSE(memo.has_key_index());
+  EXPECT_EQ(memo.bytes(), [&] {
+    vm::SlotMemo plain;
+    plain.Clear(1);
+    for (const Value& k : inner_keys) {
+      plain.Capture(jp.inner_slots, g_.db.get(), Row{k}, &scratch);
+    }
+    plain.Capture(jp.inner_slots, g_.db.get(), Row{Value::Real(std::nan(""))},
+                  &scratch);
+    return plain.bytes();
+  }());
 }
 
 // --- EXPLAIN carries the disassembly ----------------------------------------
